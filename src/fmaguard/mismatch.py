@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phasors import Phasor
+from .phasors import Phasor, wrap_angle_array
 from .scenario import LineModel, LineScenario, MeasurementFrame, Stream, healthy_reference
 
 
@@ -85,11 +85,6 @@ def calculated_local_voltage(i1: Phasor, i2: Phasor, line: LineModel) -> Phasor:
     return Phasor.from_complex(z)
 
 
-def _wrap(a: np.ndarray) -> np.ndarray:
-    w = np.mod(a + np.pi, 2.0 * np.pi) - np.pi
-    return np.where(w == -np.pi, np.pi, w)
-
-
 @dataclass
 class PTrace:
     """Vectorized consistency components for a whole stream."""
@@ -114,7 +109,7 @@ def _ffill(values: np.ndarray, valid: np.ndarray, fallback) -> np.ndarray:
 
 def compute_p_components(v1: np.ndarray, i1: np.ndarray, i2: np.ndarray,
                          line: LineModel, cfg: MIConfig,
-                         prev=None) -> PTrace:
+                         prev=None, repeats: np.ndarray | None = None) -> PTrace:
     """Consistency components from (N, 3) per-phase measurement arrays.
 
     Each phase is checked against the healthy single-circuit model (its
@@ -122,6 +117,10 @@ def compute_p_components(v1: np.ndarray, i1: np.ndarray, i2: np.ndarray,
     model exactly on every phase.  Guard violations (tiny local current,
     voltage magnitude or reference angle) substitute the affected
     component with its last valid value and are tallied in the result.
+
+    ``repeats`` gives the number of consecutive frames each row stands
+    for; the trace is expanded to that many frames and substitutions are
+    counted per frame.
     """
     z_se = line.z_se.positive
     z_sh = line.z_sh.positive
@@ -136,11 +135,11 @@ def compute_p_components(v1: np.ndarray, i1: np.ndarray, i2: np.ndarray,
 
     # rotate each phase so its local current is the angle reference
     ref = np.where(ok_current, np.exp(-1j * np.angle(np.where(ok_current, i1, 1.0))), 1.0)
-    ang_m = _wrap(np.angle(v1 * ref))
-    ang_c = _wrap(np.angle(v1c * ref))
+    ang_m = wrap_angle_array(np.angle(v1 * ref))
+    ang_c = wrap_angle_array(np.angle(v1c * ref))
     ok_ang = (np.abs(ang_m) >= cfg.eps_angle_rad) & ok_current & (mag_m > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        delta_va = _wrap(ang_c - ang_m) / ang_m
+        delta_va = wrap_angle_array(ang_c - ang_m) / ang_m
 
     v_drop = np.abs(i_d * z_se)
     id_ratio = np.abs(i_d) / cfg.i_d_n.magnitude
@@ -152,19 +151,45 @@ def compute_p_components(v1: np.ndarray, i1: np.ndarray, i2: np.ndarray,
 
     comps = np.stack([delta_vm, delta_va, v_drop, id_ratio], axis=-1)  # (N, 3, 4)
     phase_norms = np.sqrt(np.sum(comps**2, axis=-1))
+    norms = np.sqrt(np.sum(comps**2, axis=(1, 2)))
     degenerate = ~(ok_mag & ok_ang).all(axis=1)
+    if repeats is None:
+        return PTrace(comps, phase_norms, norms, degenerate,
+                      substitutions=int((~ok_mag).sum() + (~ok_ang).sum()))
+    per_row = (~ok_mag).sum(axis=1) + (~ok_ang).sum(axis=1)
     return PTrace(
-        components=comps,
-        phase_norms=phase_norms,
-        norms=np.sqrt(np.sum(comps**2, axis=(1, 2))),
-        degenerate=degenerate,
-        substitutions=int((~ok_mag).sum() + (~ok_ang).sum()),
+        components=np.repeat(comps, repeats, axis=0),
+        phase_norms=np.repeat(phase_norms, repeats, axis=0),
+        norms=np.repeat(norms, repeats),
+        degenerate=np.repeat(degenerate, repeats),
+        substitutions=int(per_row @ repeats),
     )
 
 
 def compute_p_stream(stream: Stream, line: LineModel, cfg: MIConfig) -> PTrace:
-    """Consistency components for every frame of a stream."""
-    return compute_p_components(stream.v1, stream.i1, stream.i2, line, cfg)
+    """Consistency components for every frame of a stream.
+
+    The components are evaluated once per run of identical consecutive
+    frames and expanded, which is exact: every operation works frame by
+    frame and the forward-fill validity mask is constant within a run.
+    Identical means byte-identical ``v1``, ``i1`` and ``i2`` rows, so
+    ``+0.0`` and ``-0.0`` differ.  A stream in which every frame differs
+    from the one before, such as any noisy stream, is evaluated directly.
+    """
+    v1, i1, i2 = stream.v1, stream.i1, stream.i2
+    n = len(v1)
+    # A run needs two consecutive frames that agree on one element first;
+    # this cheap necessary check keeps noisy streams off the row compare.
+    probe = v1[:, 0].real.view(np.uint64)
+    if np.any(probe[1:] == probe[:-1]):
+        rows = np.concatenate([v1, i1, i2], axis=1).view(np.uint64)
+        new_run = np.flatnonzero((rows[1:] != rows[:-1]).any(axis=1)) + 1
+        if len(new_run) < n - 1:
+            starts = np.concatenate([[0], new_run])
+            repeats = np.diff(starts, append=n)
+            return compute_p_components(v1[starts], i1[starts], i2[starts], line, cfg,
+                                        repeats=repeats)
+    return compute_p_components(v1, i1, i2, line, cfg)
 
 
 def compute_p(frame: MeasurementFrame, line: LineModel, cfg: MIConfig,

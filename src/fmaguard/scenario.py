@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,6 +57,10 @@ DEFAULT_Z_TH_ZERO = 4.0 + 480.0j
 # Typical overhead-line zero-sequence scaling.
 LINE_K0 = 3.0
 SHUNT_K0 = 1.6
+
+# Entries of each steady-state memo.  A sweep reuses a handful of healthy
+# networks; scenarios with randomized events fall through the LRU.
+STEADY_STATE_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -283,11 +288,14 @@ class HealthyState:
         return self.i1 + self.i2
 
 
+@lru_cache(maxsize=STEADY_STATE_CACHE_SIZE)
 def solve_healthy(line: LineModel, source1: SourceEquivalent, source2: SourceEquivalent) -> HealthyState:
     """Steady state of the healthy two-source T-network.
 
     Solved as the two mesh loops sharing the midpoint shunt; raises
     SingularNetwork when the loop system condition number exceeds 1e12.
+    Memoized on the frozen inputs (inputs that compare equal share an
+    entry); the result is immutable.
     """
     z_se = line.z_se.positive
     z_sh = line.z_sh.positive
@@ -378,7 +386,16 @@ def _grid_emf_for_idle_adjacent(v_bus: complex, line: LineModel, z_grid: Sequenc
     return v_bus * (1.0 + (z_se + z_grid.positive) / z_sh)
 
 
-@dataclass
+@dataclass(frozen=True)
+class _AdjacentLine:
+    """The adjacent line of an external-fault scenario, defaults resolved."""
+
+    terminal: int
+    line: LineModel
+    z_grid: SequenceImpedance
+
+
+@dataclass(frozen=True)
 class _NetworkState:
     """Scenario network after applying the active events."""
 
@@ -386,12 +403,21 @@ class _NetworkState:
     source2: SourceEquivalent
     terminal_shunts: tuple  # extra shunts: (terminal, SequenceImpedance)
 
-    def build(self, line: LineModel, internal_fault: FaultSpec | None,
-              external: ExternalFaultSpec | None, external_fault_active: bool):
+    def adjacent(self, external: ExternalFaultSpec | None, line: LineModel) -> _AdjacentLine | None:
+        if external is None:
+            return None
+        z_grid = external.z_grid if external.z_grid is not None else (
+            self.source2.z_th if external.terminal == 2 else self.source1.z_th)
+        return _AdjacentLine(external.terminal,
+                             external.line if external.line is not None else line, z_grid)
+
+    def build(self, line: LineModel, adjacent: _AdjacentLine | None,
+              fault: FaultSpec | None = None, fault_on_adjacent: bool = False):
         """Assemble the SeqNetwork plus measurement branches.
 
-        The fault node (if any) is named FAULT for internal faults and
-        ADJ_FAULT for external ones.
+        ``fault`` sits on the protected line, or on the adjacent line when
+        ``fault_on_adjacent``.  The fault node (if any) is named FAULT for
+        internal faults and ADJ_FAULT for external ones.
         """
         net = SeqNetwork()
         net.add_node(BUS1)
@@ -402,30 +428,26 @@ class _NetworkState:
             net.add_shunt(BUS1 if terminal == 1 else BUS2, z)
 
         fault_node = None
-        if internal_fault is not None:
+        if fault is not None and not fault_on_adjacent:
             fault_node = net.add_node(FAULT)
-            b1, b2 = _line_nodes(net, BUS1, BUS2, MID, line, fault_node, internal_fault.x)
+            b1, b2 = _line_nodes(net, BUS1, BUS2, MID, line, fault_node, fault.x)
         else:
             b1, b2 = _line_nodes(net, BUS1, BUS2, MID, line, None, None)
 
-        if external is not None:
-            adj_line = external.line if external.line is not None else line
-            z_grid = external.z_grid if external.z_grid is not None else (
-                self.source2.z_th if external.terminal == 2 else self.source1.z_th)
-            bus_t = BUS1 if external.terminal == 1 else BUS2
+        if adjacent is not None:
+            bus_t = BUS1 if adjacent.terminal == 1 else BUS2
             net.add_node(ADJ_BUS)
             # Idle EMF derived from the two-source healthy state, so the
             # calibrated operating point carries over unchanged.
             base = solve_healthy(line, self.source1, self.source2)
-            v_bus = base.v1.as_complex if external.terminal == 1 else base.v2.as_complex
-            emf = _grid_emf_for_idle_adjacent(v_bus, adj_line, z_grid)
-            net.add_source(ADJ_BUS, emf, z_grid)
-            if external_fault_active:
-                adj_fault = net.add_node(ADJ_FAULT)
-                _line_nodes(net, bus_t, ADJ_BUS, ADJ_MID, adj_line, adj_fault, external.fault.x)
-                fault_node = adj_fault
+            v_bus = base.v1.as_complex if adjacent.terminal == 1 else base.v2.as_complex
+            emf = _grid_emf_for_idle_adjacent(v_bus, adjacent.line, adjacent.z_grid)
+            net.add_source(ADJ_BUS, emf, adjacent.z_grid)
+            if fault is not None and fault_on_adjacent:
+                fault_node = net.add_node(ADJ_FAULT)
+                _line_nodes(net, bus_t, ADJ_BUS, ADJ_MID, adjacent.line, fault_node, fault.x)
             else:
-                _line_nodes(net, bus_t, ADJ_BUS, ADJ_MID, adj_line, None, None)
+                _line_nodes(net, bus_t, ADJ_BUS, ADJ_MID, adjacent.line, None, None)
 
         return net, _Measurement(branch1=b1, branch2=b2), fault_node
 
@@ -459,25 +481,44 @@ class TerminalQuantities:
     solution: FaultSolution
 
 
-def _segment_state(scenario: LineScenario, active_events: list, fault_active: bool) -> TerminalQuantities:
-    state = _apply_events(scenario, active_events)
-    internal = scenario.fault if (fault_active and scenario.fault is not None) else None
-    external_active = fault_active and scenario.external_fault is not None
-    net, meas, fault_node = state.build(scenario.line, internal, scenario.external_fault,
-                                        external_active)
-    if fault_active and fault_node is not None:
-        spec = internal if internal is not None else scenario.external_fault.fault
-        sol = solve_fault(net, fault_node, spec.kind, spec.r_f)
-    else:
-        sol = solve_unfaulted(net)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _terminal_quantities(sol: FaultSolution, meas: _Measurement) -> TerminalQuantities:
+    """Relay quantities of a solved network; every array is read-only."""
+    for arr in (sol.i_fault_seq, sol.i_fault_abc, sol.v_fault_abc, sol.z_thevenin):
+        _read_only(arr)
     u1, v1n, z1 = meas.branch1
     u2, v2n, z2 = meas.branch2
     return TerminalQuantities(
-        v1=sol.node_v_abc(BUS1),
-        i1=sol.branch_current_abc(u1, v1n, z1),
-        i2=sol.branch_current_abc(u2, v2n, z2),
+        v1=_read_only(sol.node_v_abc(BUS1)),
+        i1=_read_only(sol.branch_current_abc(u1, v1n, z1)),
+        i2=_read_only(sol.branch_current_abc(u2, v2n, z2)),
         solution=sol,
     )
+
+
+@lru_cache(maxsize=STEADY_STATE_CACHE_SIZE)
+def _unfaulted_state(line: LineModel, state: _NetworkState,
+                     adjacent: _AdjacentLine | None) -> TerminalQuantities:
+    """Memoized unfaulted segment: the network depends only on these
+    inputs, never on the fault that a scenario applies elsewhere."""
+    net, meas, _fault_node = state.build(line, adjacent)
+    return _terminal_quantities(solve_unfaulted(net), meas)
+
+
+def _segment_state(scenario: LineScenario, active_events: list, fault_active: bool) -> TerminalQuantities:
+    state = _apply_events(scenario, active_events)
+    external = scenario.external_fault
+    adjacent = state.adjacent(external, scenario.line)
+    if not fault_active:
+        return _unfaulted_state(scenario.line, state, adjacent)
+    fault = scenario.fault if scenario.fault is not None else external.fault
+    net, meas, fault_node = state.build(scenario.line, adjacent, fault,
+                                        fault_on_adjacent=scenario.fault is None)
+    return _terminal_quantities(solve_fault(net, fault_node, fault.kind, fault.r_f), meas)
 
 
 def solve_faulted(line: LineModel, source1: SourceEquivalent, source2: SourceEquivalent,
@@ -488,7 +529,7 @@ def solve_faulted(line: LineModel, source1: SourceEquivalent, source2: SourceEqu
     ThreePhaseSets and the full FaultSolution for inspection.
     """
     state = _NetworkState(source1=source1, source2=source2, terminal_shunts=())
-    net, meas, fault_node = state.build(line, fault, None, False)
+    net, meas, fault_node = state.build(line, None, fault)
     sol = solve_fault(net, fault_node, fault.kind, fault.r_f)
     u1, v1n, z1 = meas.branch1
     u2, v2n, z2 = meas.branch2
@@ -587,6 +628,7 @@ class OperatingPoint:
         return self.i1 + self.i2
 
 
+@lru_cache(maxsize=STEADY_STATE_CACHE_SIZE)
 def calibrated_operating_point(load_angle_shift_deg: float = LOAD_ANGLE_SHIFT_DEG) -> OperatingPoint:
     """Operating point fitted to the reference flows.
 

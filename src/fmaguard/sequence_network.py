@@ -7,6 +7,12 @@ sequence impedances, so the network decouples into three single-phase
 nodal problems.  Faults couple the sequences only at the fault bus and
 are resolved by solving the three phase-domain boundary conditions for
 the sequence fault currents, then superposing the injection response.
+
+The three sequence admittance matrices are assembled once as a
+``(3, n, n)`` stack.  The conditioning guard checks all three in one
+batched call, and a fault solve gets the pre-fault voltages and the
+fault-bus driving-point responses of every sequence from one stacked
+linear solve.
 """
 
 from __future__ import annotations
@@ -39,7 +45,11 @@ FAULT_KINDS = {
 
 
 class SingularNetwork(Exception):
-    """The nodal system is ill-conditioned beyond COND_LIMIT."""
+    """A nodal system is ill-conditioned beyond COND_LIMIT.
+
+    All three sequence matrices are checked, in one call, before any
+    solve; a fault solve also checks its boundary system.
+    """
 
 
 class UnsupportedFault(Exception):
@@ -93,39 +103,6 @@ class SeqNetwork:
 
     def add_source(self, u: str, emf: complex, z_th: SequenceImpedance) -> None:
         self.sources.append((u, emf, z_th))
-
-    def index(self, name: str) -> int:
-        return self.nodes.index(name)
-
-    def admittance(self, s: int) -> np.ndarray:
-        n = len(self.nodes)
-        y = np.zeros((n, n), dtype=complex)
-        for u, v, z in self.branches:
-            yb = 1.0 / z[s]
-            iu, iv = self.index(u), self.index(v)
-            y[iu, iu] += yb
-            y[iv, iv] += yb
-            y[iu, iv] -= yb
-            y[iv, iu] -= yb
-        for u, z in self.shunts:
-            y[self.index(u), self.index(u)] += 1.0 / z[s]
-        for u, _emf, z in self.sources:
-            y[self.index(u), self.index(u)] += 1.0 / z[s]
-        return y
-
-    def injections(self, s: int) -> np.ndarray:
-        j = np.zeros(len(self.nodes), dtype=complex)
-        if s == 1:
-            for u, emf, z in self.sources:
-                j[self.index(u)] += emf / z[1]
-        return j
-
-    def solve(self, s: int) -> np.ndarray:
-        """Node voltages of sequence ``s`` with no fault applied."""
-        y = self.admittance(s)
-        if np.linalg.cond(y) > COND_LIMIT:
-            raise SingularNetwork(f"sequence-{s} nodal system is ill-conditioned")
-        return np.linalg.solve(y, self.injections(s))
 
 
 @dataclass
@@ -192,6 +169,44 @@ def _boundary_rows(kind: str, r_f: float, z_th: np.ndarray, v_oc: np.ndarray):
     return m, b
 
 
+def _nodal_system(network: SeqNetwork) -> tuple:
+    """Sequence admittances ``(3, n, n)``, positive-sequence source
+    injections ``(n,)`` and the node -> row index.
+
+    Raises SingularNetwork when any of the three sequence matrices has a
+    condition number above COND_LIMIT; all three are checked in one call.
+    """
+    index = {name: k for k, name in enumerate(network.nodes)}
+    n = len(index)
+    # Accumulated as Python scalars (same rounding as complex128 adds),
+    # which is cheaper than element-wise numpy indexing.
+    y = [[[0j] * n for _ in range(n)] for _ in range(3)]
+    j = [0j] * n
+    for u, v, z in network.branches:
+        iu, iv = index[u], index[v]
+        for s, ys in enumerate(y):
+            yb = 1.0 / z[s]
+            ys[iu][iu] += yb
+            ys[iv][iv] += yb
+            ys[iu][iv] -= yb
+            ys[iv][iu] -= yb
+    for u, z in network.shunts:
+        iu = index[u]
+        for s, ys in enumerate(y):
+            ys[iu][iu] += 1.0 / z[s]
+    for u, emf, z in network.sources:
+        iu = index[u]
+        for s, ys in enumerate(y):
+            ys[iu][iu] += 1.0 / z[s]
+        j[iu] += emf / z[1]
+    y = np.array(y, dtype=complex)
+    j = np.array(j, dtype=complex)
+    bad = np.flatnonzero(np.linalg.cond(y) > COND_LIMIT)
+    if bad.size:
+        raise SingularNetwork(f"sequence-{bad[0]} nodal system is ill-conditioned")
+    return y, j, index
+
+
 def solve_fault(network: SeqNetwork, fault_node: str, kind: str, r_f: float) -> FaultSolution:
     """Solve a shunt fault of the given kind at ``fault_node``.
 
@@ -204,31 +219,25 @@ def solve_fault(network: SeqNetwork, fault_node: str, kind: str, r_f: float) -> 
     if r_f < 0:
         raise ValueError("fault resistance must be non-negative")
 
-    idx_f = network.index(fault_node)
-    v_pre = []
-    response = []
-    z_th = np.zeros(3, dtype=complex)
-    for s in range(3):
-        y = network.admittance(s)
-        if np.linalg.cond(y) > COND_LIMIT:
-            raise SingularNetwork(f"sequence-{s} nodal system is ill-conditioned")
-        v_pre.append(np.linalg.solve(y, network.injections(s)))
-        unit = np.zeros(len(network.nodes), dtype=complex)
-        unit[idx_f] = 1.0
-        resp = np.linalg.solve(y, unit)
-        response.append(resp)
-        z_th[s] = resp[idx_f]
+    y, j, index = _nodal_system(network)
+    idx_f = index[fault_node]
+    # Per sequence, column 0 is the source injection (positive sequence
+    # only) and column 1 a unit injection at the fault bus.
+    rhs = np.zeros((3, len(index), 2), dtype=complex)
+    rhs[1, :, 0] = j
+    rhs[:, idx_f, 1] = 1.0
+    x = np.linalg.solve(y, rhs)
+    v_pre, response = x[:, :, 0], x[:, :, 1]
+    z_th = response[:, idx_f].copy()
 
-    v_oc = np.array([0.0, v_pre[1][idx_f], 0.0], dtype=complex)
+    v_oc = np.array([0.0, v_pre[1, idx_f], 0.0], dtype=complex)
     m, b = _boundary_rows(kind, r_f, z_th, v_oc)
     if np.linalg.cond(m) > COND_LIMIT:
         raise SingularNetwork("fault boundary system is ill-conditioned")
     i_seq = np.linalg.solve(m, b)
 
-    node_v = []
-    for s in range(3):
-        v_s = v_pre[s] - response[s] * i_seq[s]
-        node_v.append({name: v_s[k] for k, name in enumerate(network.nodes)})
+    v = v_pre - response * i_seq[:, None]
+    node_v = [dict(zip(network.nodes, v[s])) for s in range(3)]
     v_fault_seq = v_oc - z_th * i_seq
     return FaultSolution(
         node_v=node_v,
@@ -242,13 +251,10 @@ def solve_fault(network: SeqNetwork, fault_node: str, kind: str, r_f: float) -> 
 
 def solve_unfaulted(network: SeqNetwork) -> FaultSolution:
     """Steady state with no fault: zero fault current, same result layout."""
-    node_v = []
-    for s in range(3):
-        if s == 1:
-            v_s = network.solve(1)
-        else:
-            v_s = np.zeros(len(network.nodes), dtype=complex)
-        node_v.append({name: v_s[k] for k, name in enumerate(network.nodes)})
+    y, j, _index = _nodal_system(network)
+    v1 = np.linalg.solve(y[1], j)
+    dead = np.zeros(len(network.nodes), dtype=complex)
+    node_v = [dict(zip(network.nodes, v_s)) for v_s in (dead, v1, dead)]
     zeros = np.zeros(3, dtype=complex)
     return FaultSolution(
         node_v=node_v,

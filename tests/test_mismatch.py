@@ -17,6 +17,7 @@ from fmaguard.mismatch import (
     PVector,
     calculated_local_voltage,
     compute_p,
+    compute_p_components,
     compute_p_stream,
     mi_config_for,
     mi_trace,
@@ -277,3 +278,52 @@ class TestDetectorOnStreams:
         assert trace.substitutions >= 5
         # substituted components carry the last valid values
         assert np.allclose(trace.components[20:25, :, 0], trace.components[19, :, 0])
+
+
+def _assert_runwise_exact(stream):
+    """compute_p_stream equals a direct evaluation of every frame, bit for bit."""
+    got = compute_p_stream(stream, SCENARIO.line, CFG)
+    want = compute_p_components(stream.v1, stream.i1, stream.i2, SCENARIO.line, CFG)
+    for name in ("components", "phase_norms", "norms", "degenerate"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.array_equal(a, b), name
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert got.substitutions == want.substitutions
+    return got
+
+
+def _runs(stream) -> int:
+    """Runs of byte-identical consecutive (v1, i1, i2) frames."""
+    rows = [np.concatenate([stream.v1[k], stream.i1[k], stream.i2[k]]).tobytes()
+            for k in range(len(stream))]
+    return 1 + sum(a != b for a, b in zip(rows, rows[1:]))
+
+
+class TestRunwiseComponents:
+    def test_noiseless_masked_fault_stream(self):
+        stream = attacked_stream()
+        assert _runs(stream) == 2  # pre-fault and faulted steady states
+        _assert_runwise_exact(stream)
+
+    def test_noisy_stream(self):
+        stream = apply_distortions(attacked_stream(), DistortionSpec(snr_db=35.0), 7)
+        assert _runs(stream) == len(stream)
+        _assert_runwise_exact(stream)
+
+    def test_dead_current_burst_counts_every_frame(self):
+        stream = generate_stream(default_scenario(duration_s=0.05))
+        stream.i1[20:25] = 0.0
+        trace = _assert_runwise_exact(stream)
+        # five frames, three phases, magnitude and angle guards each
+        assert trace.substitutions == 30
+
+    def test_frames_differing_only_in_the_sign_of_zero(self):
+        stream = generate_stream(default_scenario(duration_s=0.05))
+        stream.v1[:, 0] = complex(0.0, 138.0)
+        stream.i1[:, 0] = complex(-0.29, 0.0)
+        stream.i1[10:20, 0] = complex(-0.29, -0.0)
+        assert _runs(stream) == 3
+        trace = _assert_runwise_exact(stream)
+        # the angle reference is taken on either side of the branch cut,
+        # so the middle run evaluates differently in the last bits
+        assert trace.components[5].tobytes() != trace.components[15].tobytes()

@@ -22,9 +22,12 @@ from fmaguard.scenario import (
 )
 from fmaguard.sequence_network import (
     FAULT_KINDS,
+    SeqNetwork,
     SequenceImpedance,
     SingularNetwork,
     UnsupportedFault,
+    solve_fault,
+    solve_unfaulted,
 )
 
 LINE = default_line()
@@ -84,6 +87,32 @@ class TestSolveHealthy:
         bad_line = replace(LINE, z_sh=SequenceImpedance.symmetric(-1e16j))
         with pytest.raises(SingularNetwork):
             solve_healthy(bad_line, S1, S2)
+
+
+def _near_floating_network(s: int) -> SeqNetwork:
+    """A source bus plus a bus hanging off a branch that is all but open
+    in sequence ``s`` only."""
+    net = SeqNetwork()
+    net.add_node("bus")
+    net.add_node("far")
+    net.add_source("bus", 100.0 + 0j, SequenceImpedance.symmetric(10j))
+    z = [10j, 10j, 10j]
+    z[s] = 1e16j
+    net.add_branch("bus", "far", SequenceImpedance(*z))
+    net.add_shunt("far", SequenceImpedance.symmetric(1e16j))
+    return net
+
+
+class TestSingularSequenceNetwork:
+    @pytest.mark.parametrize("s", [0, 1, 2])
+    def test_solve_fault_checks_every_sequence(self, s):
+        with pytest.raises(SingularNetwork, match=f"sequence-{s}"):
+            solve_fault(_near_floating_network(s), "bus", "AG", 1.0)
+
+    @pytest.mark.parametrize("s", [0, 1, 2])
+    def test_solve_unfaulted_checks_every_sequence(self, s):
+        with pytest.raises(SingularNetwork, match=f"sequence-{s}"):
+            solve_unfaulted(_near_floating_network(s))
 
 
 class TestSolveFaulted:
@@ -282,3 +311,37 @@ class TestExternalFault:
         z_sh = scen.line.z_sh.positive
         v1c = stream.i1[250] * z_se + (stream.i1[250] + stream.i2[250]) * z_sh
         assert np.abs(v1c - stream.v1[250]).max() / np.abs(stream.v1[250]).max() < 1e-8
+
+
+class TestMemoizedSteadyStates:
+    SCEN = default_scenario(duration_s=0.3, fault=FaultSpec("AG", 0.5, 1.0, 0.1))
+
+    def test_segment_states_are_read_only(self):
+        stream = generate_stream(self.SCEN)
+        for seg in stream.meta["segments"]:
+            with pytest.raises(ValueError):
+                seg["state"].v1[0] = 0.0
+
+    def test_mutating_a_stream_leaves_the_next_unchanged(self):
+        first = generate_stream(self.SCEN)
+        expect = first.copy()
+        for arr in (first.v1, first.i1, first.i2, first.i2_true):
+            arr[:] = 0.0
+        second = generate_stream(self.SCEN)
+        for name in ("v1", "i1", "i2", "i2_true"):
+            assert np.array_equal(getattr(second, name), getattr(expect, name)), name
+
+    def test_only_unfaulted_states_are_shared(self):
+        first, second = (generate_stream(self.SCEN) for _ in range(2))
+        (pre1, post1), (pre2, post2) = (
+            [seg["state"] for seg in s.meta["segments"]] for s in (first, second))
+        assert pre1 is pre2
+        assert post1 is not post2
+
+    def test_external_pre_fault_state_ignores_the_fault_spec(self):
+        states = []
+        for kind, x in (("AG", 0.3), ("BC", 0.7)):
+            scen = default_scenario(duration_s=0.3, external_fault=ExternalFaultSpec(
+                terminal=2, fault=FaultSpec(kind, x, 1.0, 0.2)))
+            states.append(generate_stream(scen).meta["segments"][0]["state"])
+        assert states[0] is states[1]
