@@ -19,6 +19,15 @@ single such snapshot can sit tens of standard deviations out after
 standardization.  Those channels get the sentinel instead.  The floor is
 a fixed constant, not read from a run's relay settings, so the features
 a trained model expects do not change with the relay configuration.
+
+Extraction is batched: the pre and post frames of every trigger of a
+stream are gathered with one fancy index and all snapshots go through
+one set of array operations.  Each row keeps the bits a one-snapshot
+computation gives.  The Fortescue transform is therefore the stacked
+product ``(R, 1, 3) @ (3, 3)``; a plain ``(R, 3) @ (3, 3)`` gemm rounds
+differently in the last bits.  The elementwise operations used here
+(``abs``, ``angle``, complex division, ``mod``) give the same bits at
+any array length.
 """
 
 from __future__ import annotations
@@ -72,21 +81,30 @@ def feature_names() -> list:
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """Flat 108-value feature vector plus bookkeeping."""
+    """Feature values plus bookkeeping, for one trigger or a batch.
+
+    For a single trigger ``values`` has shape ``(FEATURE_DIM,)`` and the
+    bookkeeping fields are ints; for ``R`` triggers ``values`` has shape
+    ``(R, FEATURE_DIM)`` and the bookkeeping fields are length-``R``
+    integer arrays, one entry per row.
+    """
 
     values: np.ndarray
-    trigger_index: int
-    degenerate_channels: int = 0
+    trigger_index: int | np.ndarray
+    degenerate_channels: int | np.ndarray = 0
 
     def __post_init__(self) -> None:
-        if self.values.shape != (FEATURE_DIM,):
-            raise ValueError(f"feature vector must have {FEATURE_DIM} entries")
+        if self.values.ndim not in (1, 2) or self.values.shape[-1] != FEATURE_DIM:
+            raise ValueError(f"feature vectors must have {FEATURE_DIM} entries")
 
 
 def _snapshot_features(v_abc: np.ndarray, i_abc: np.ndarray) -> tuple:
-    """54 features of one snapshot; returns (values, degenerate count)."""
-    v = np.concatenate([v_abc, abc_to_seq_array(v_abc)])
-    i = np.concatenate([i_abc, abc_to_seq_array(i_abc)])
+    """54 features of each of ``R`` snapshots given as ``(R, 3)`` phase
+    arrays; returns ``(R, 54)`` values and ``(R,)`` degenerate counts."""
+    # (R, 1, 3) @ (3, 3) stacks R vector products and keeps their per-row
+    # bits; a plain (R, 3) @ (3, 3) gemm does not
+    v = np.concatenate([v_abc, abc_to_seq_array(v_abc[:, None, :])[:, 0, :]], axis=1)
+    i = np.concatenate([i_abc, abc_to_seq_array(i_abc[:, None, :])[:, 0, :]], axis=1)
 
     v_mag = np.abs(v)
     i_mag = np.abs(i)
@@ -101,9 +119,9 @@ def _snapshot_features(v_abc: np.ndarray, i_abc: np.ndarray) -> tuple:
     z_re = np.where(ok, z.real, IMPEDANCE_SENTINEL)
     z_im = np.where(ok, z.imag, 0.0)
 
-    rows = [v_mag, i_mag, v_ang, i_ang, wrap_angle_array(v_ang - i_ang),
-            z_mag, z_ang, z_re, z_im]
-    return np.concatenate(rows), int((~ok).sum())
+    groups = [v_mag, i_mag, v_ang, i_ang, wrap_angle_array(v_ang - i_ang),
+              z_mag, z_ang, z_re, z_im]
+    return np.concatenate(groups, axis=1), (~ok).sum(axis=1)
 
 
 def pre_trigger_offset(stream: Stream) -> int:
@@ -111,25 +129,31 @@ def pre_trigger_offset(stream: Stream) -> int:
     return int(round(stream.samples_per_cycle))
 
 
-def extract_features(stream: Stream, trigger_index: int) -> FeatureVector:
-    """Pre/post-trigger local-measurement features around a trigger frame.
+def extract_features(stream: Stream, trigger_index) -> FeatureVector:
+    """Pre/post-trigger local-measurement features around trigger frames.
 
-    The pre snapshot sits one power cycle before the trigger so it stays
+    ``trigger_index`` is one frame index or a 1-D integer sequence of
+    them; every trigger of the sequence is extracted in one pass.  The
+    pre snapshot sits one power cycle before the trigger so it stays
     clear of the fault; the post snapshot is the trigger frame itself.
     """
+    triggers = np.asarray(trigger_index)
+    if triggers.ndim > 1 or (triggers.size and triggers.dtype.kind not in "iu"):
+        raise ValueError("trigger index must be an int or a 1-D integer sequence")
+    triggers = triggers.astype(np.intp, copy=False)
     offset = pre_trigger_offset(stream)
-    if trigger_index < offset:
+    # a gather would wrap a negative index silently, so check every trigger
+    if np.any(triggers < offset):
         raise ValueError("trigger index precedes the pre-snapshot window")
-    if trigger_index >= len(stream):
+    if np.any(triggers >= len(stream)):
         raise ValueError("trigger index beyond the stream")
-    values = []
-    degenerate = 0
-    for k in (trigger_index - offset, trigger_index):
-        snap, bad = _snapshot_features(stream.v1[k], stream.i1[k])
-        values.append(snap)
-        degenerate += bad
-    return FeatureVector(
-        values=np.concatenate(values),
-        trigger_index=trigger_index,
-        degenerate_channels=degenerate,
-    )
+    frames = np.stack([triggers - offset, triggers], axis=-1)  # (..., 2): pre, post
+    snaps, bad = _snapshot_features(stream.v1[frames].reshape(-1, 3),
+                                    stream.i1[frames].reshape(-1, 3))
+    values = snaps.reshape(triggers.shape + (FEATURE_DIM,))
+    degenerate = bad.reshape(frames.shape).sum(axis=-1)
+    if triggers.ndim == 0:
+        return FeatureVector(values=values, trigger_index=int(triggers),
+                             degenerate_channels=int(degenerate))
+    return FeatureVector(values=values, trigger_index=triggers,
+                         degenerate_channels=degenerate)

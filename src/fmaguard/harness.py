@@ -31,7 +31,7 @@ from .attack import (
 )
 from .features import FEATURE_DIM, extract_features, feature_names, pre_trigger_offset
 from .mismatch import MIConfig, compute_p_stream, mi_trace
-from .pipeline import BatchCase, PipelineConfig, batch_run
+from .pipeline import BatchCase, PipelineConfig, batch_run, scan_mi
 from .relay import RelaySettings
 from .scenario import (
     ExternalFaultSpec,
@@ -502,8 +502,6 @@ def trigger_indices_for(case: Case, stream: Stream, cfg: MIConfig,
     detector would raise (with hold-off resumes and the clearance
     re-prime), or a fixed point shortly after inception when it stays
     quiet."""
-    from .pipeline import scan_mi
-
     norms = compute_p_stream(stream, case.scenario.line, cfg).norms
     holdoff = max(1, int(round(stream.samples_per_cycle)))
     scan = scan_mi(norms, cfg, len(stream), stream.meta.get("clear_index"),
@@ -527,12 +525,11 @@ def build_dataset(cases, f: float = 0.05, jobs: int = 1) -> tuple:
     labels = []
     ids = []
     for case, stream in zip(cases, streams):
-        lo = pre_trigger_offset(stream)
-        for k in trigger_indices_for(case, stream, cfg):
-            k = min(max(k, lo), len(stream) - 1)
-            rows.append(extract_features(stream, k).values)
-            labels.append(case.label)
-            ids.append(case.case_id)
+        triggers = np.clip(trigger_indices_for(case, stream, cfg),
+                           pre_trigger_offset(stream), len(stream) - 1)
+        rows.append(extract_features(stream, triggers).values)
+        labels += [case.label] * len(triggers)
+        ids += [case.case_id] * len(triggers)
     x = np.vstack(rows) if rows else np.zeros((0, FEATURE_DIM))
     return x, np.array(labels, dtype=int), ids
 

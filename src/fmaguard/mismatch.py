@@ -317,12 +317,14 @@ def mi_trace(norms: np.ndarray, cfg: MIConfig, prime: float | None = None,
         suppress = cfg.t2 + 1
     padded = np.concatenate([np.full(cfg.t2, fill), norms])
     csum = np.concatenate([[0.0], np.cumsum(padded)])
-    k = np.arange(n)
-    m = (csum[k + cfg.t2 + 1] - csum[k + cfg.t2 - cfg.t1]) / (cfg.t1 + 1)
-    long_mean = (csum[k + cfg.t2 + 1] - csum[k]) / (cfg.t2 + 1)
+    # window ends csum[t2+1:], short starts csum[t2-t1:], long starts csum[:n]
+    end = csum[cfg.t2 + 1:]
+    m = (end - csum[cfg.t2 - cfg.t1:cfg.t2 - cfg.t1 + n]) / (cfg.t1 + 1)
+    long_mean = (end - csum[:n]) / (cfg.t2 + 1)
     l_u = (1.0 + cfg.f) * long_mean
 
-    fires = (m >= l_u) & (k >= suppress)
+    fires = m >= l_u
+    fires[:max(suppress, 0)] = False
     latch_index = int(np.argmax(fires)) if fires.any() else None
     o = np.zeros(n, dtype=bool)
     if latch_index is not None:

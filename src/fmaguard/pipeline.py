@@ -72,11 +72,9 @@ class PipelineResult:
 
 
 def _check_degenerate_burst(degenerate: np.ndarray, limit: int) -> None:
-    run = 0
-    worst = 0
-    for flag in degenerate:
-        run = run + 1 if flag else 0
-        worst = max(worst, run)
+    # burst lengths: distances between the rising and falling edges of the mask
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], degenerate, [False]])))
+    worst = int((edges[1::2] - edges[::2]).max(initial=0))
     if worst > limit:
         raise DegenerateMeasurement(
             f"degenerate-measurement burst of {worst} frames exceeds limit {limit}")
@@ -167,6 +165,9 @@ def run(stream: Stream, cfg: PipelineConfig) -> PipelineResult:
     offset = pre_trigger_offset(stream)
     mi_trigger_index = scan.latches[0] if scan.latches else None
     alarm_index = None
+    confirmable = [k for k in scan.latches if k >= offset]
+    if cfg.model is not None and confirmable:
+        latch_features = iter(extract_features(stream, confirmable).values)
 
     for k in scan.latches:
         events.append(DetectionEvent(t=float(stream.t[k]), kind="MITrigger",
@@ -178,8 +179,9 @@ def run(stream: Stream, cfg: PipelineConfig) -> PipelineResult:
             break
         if k < offset:
             continue
-        fv = extract_features(stream, k)
-        prob = float(zcc.predict_proba_internal(cfg.model, fv.values)[0])
+        # one row per latch, in order: a batched forward pass could move
+        # p_internal in the last bits
+        prob = float(zcc.predict_proba_internal(cfg.model, next(latch_features))[0])
         verdict_internal = prob >= cfg.zcc_threshold
         events.append(DetectionEvent(
             t=float(stream.t[k]),

@@ -3,15 +3,17 @@
 These deliberately take different computational routes from the library:
 the network oracle assembles one dense phase-domain MNA system (no
 sequence decomposition, no Thevenin reduction, no superposition), the
-relay oracle re-codes the characteristic as scalar branches, and the
-gradient oracle uses central finite differences.
+relay oracle re-codes the characteristic as scalar branches, the
+feature oracle computes one snapshot at a time, and the gradient oracle
+uses central finite differences.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from fmaguard.phasors import ALPHA, ALPHA2, A_PHASE, A_SEQ
+from fmaguard.features import CURRENT_FLOOR_KA, IMPEDANCE_SENTINEL, pre_trigger_offset
+from fmaguard.phasors import ALPHA, ALPHA2, A_PHASE, A_SEQ, abc_to_seq_array, wrap_angle_array
 from fmaguard.scenario import FaultSpec, LineModel, SourceEquivalent
 from fmaguard.sequence_network import FAULT_KINDS, SequenceImpedance
 
@@ -141,6 +143,38 @@ def relay_trip_oracle(i_d_mag: float, i_r: float, i_d0: float, i_b: float,
     else:
         threshold = i_d0 + k1 * i_b + k2 * (i_r - i_b)
     return i_d_mag >= threshold
+
+
+def snapshot_features(v_abc: np.ndarray, i_abc: np.ndarray) -> tuple:
+    """54 zone-classifier features of one snapshot from its (3,) phase
+    arrays; returns (values, degenerate count)."""
+    v = np.concatenate([v_abc, abc_to_seq_array(v_abc)])
+    i = np.concatenate([i_abc, abc_to_seq_array(i_abc)])
+
+    v_mag = np.abs(v)
+    i_mag = np.abs(i)
+    v_ang = wrap_angle_array(np.angle(v))
+    i_ang = wrap_angle_array(np.angle(i))
+
+    ok = i_mag >= CURRENT_FLOOR_KA
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(ok, v / np.where(ok, i, 1.0), 0.0)
+    z_mag = np.where(ok, np.abs(z), IMPEDANCE_SENTINEL)
+    z_ang = np.where(ok, wrap_angle_array(np.angle(z)), 0.0)
+    z_re = np.where(ok, z.real, IMPEDANCE_SENTINEL)
+    z_im = np.where(ok, z.imag, 0.0)
+
+    rows = [v_mag, i_mag, v_ang, i_ang, wrap_angle_array(v_ang - i_ang),
+            z_mag, z_ang, z_re, z_im]
+    return np.concatenate(rows), int((~ok).sum())
+
+
+def trigger_features(stream, trigger_index: int) -> tuple:
+    """108 features of one trigger, snapshot by snapshot: (values, degenerate count)."""
+    pre_index = trigger_index - pre_trigger_offset(stream)
+    pre, bad_pre = snapshot_features(stream.v1[pre_index], stream.i1[pre_index])
+    post, bad_post = snapshot_features(stream.v1[trigger_index], stream.i1[trigger_index])
+    return np.concatenate([pre, post]), bad_pre + bad_post
 
 
 def finite_difference_grads(loss_fn, model, step: float = 1e-6):

@@ -11,6 +11,7 @@ from fmaguard.features import (
 )
 from fmaguard.relay import RelaySettings
 from fmaguard.scenario import FaultSpec, default_scenario, generate_stream
+from oracles import trigger_features
 
 I_D0 = RelaySettings().i_d0
 
@@ -159,3 +160,60 @@ class TestCurrentFloor:
             k = names.index("post_z_mag_a")
             v_a = np.abs(edited.v1[trigger][0])
             assert fv.values[k] == pytest.approx(v_a / current)
+
+
+class TestBatchedExtraction:
+    """One call over many triggers gives, row for row, the bits and the
+    degenerate counts of the snapshot-by-snapshot oracle."""
+
+    @staticmethod
+    def noisy_streams():
+        healthy = generate_stream(default_scenario(duration_s=0.3))
+        streams = [apply_distortions(healthy, DistortionSpec(snr_db=35.0), 5)]
+        for seed, (kind, x, r_f) in enumerate([("AG", 0.3, 0.001), ("BC", 0.7, 5.0),
+                                               ("ABC", 0.5, 0.001)]):
+            streams.append(apply_distortions(fault_stream(kind, x, r_f),
+                                             DistortionSpec(snr_db=35.0), seed))
+        dead = streams[1].copy()
+        dead.i1[230] = 0.0  # dead current in the post snapshot of 230, the pre of 247
+        streams.append(dead)
+        return streams
+
+    def test_matches_oracle_row_by_row(self):
+        saw_sentinel = saw_dead = False
+        for stream in self.noisy_streams():
+            triggers = np.arange(pre_trigger_offset(stream), len(stream))
+            fv = extract_features(stream, triggers)
+            assert fv.values.shape == (len(triggers), FEATURE_DIM)
+            assert np.array_equal(fv.trigger_index, triggers)
+            for row, k in enumerate(triggers):
+                expected, degenerate = trigger_features(stream, int(k))
+                assert fv.values[row].tobytes() == expected.tobytes(), k
+                assert fv.degenerate_channels[row] == degenerate, k
+                saw_sentinel |= IMPEDANCE_SENTINEL in expected
+                saw_dead |= degenerate >= 6
+        assert saw_sentinel and saw_dead
+
+    def test_single_trigger_matches_its_batch_row(self):
+        stream = self.noisy_streams()[1]
+        batch = extract_features(stream, [220, 260])
+        single = extract_features(stream, 260)
+        assert single.values.tobytes() == batch.values[1].tobytes()
+        assert single.degenerate_channels == batch.degenerate_channels[1]
+        assert isinstance(single.trigger_index, int)
+
+    def test_empty_batch(self):
+        fv = extract_features(fault_stream(), [])
+        assert fv.values.shape == (0, FEATURE_DIM)
+
+    @pytest.mark.parametrize("bad", ["below_offset", "at_length"])
+    def test_one_bad_trigger_rejects_the_batch(self, bad):
+        stream = fault_stream()
+        k = pre_trigger_offset(stream) - 1 if bad == "below_offset" else len(stream)
+        with pytest.raises(ValueError):
+            extract_features(stream, [220, k, 230])
+
+    @pytest.mark.parametrize("bad", [[220.0, 230.0], [[220, 230]]])
+    def test_rejects_non_integer_or_nested_triggers(self, bad):
+        with pytest.raises(ValueError):
+            extract_features(fault_stream(), bad)

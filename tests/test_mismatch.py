@@ -237,6 +237,36 @@ class TestVectorizedTrace:
         hot = mi_trace(np.full(20, 30.0), cfg, prime=3.0, suppress=0)
         assert hot.latch_index == 0
 
+    @pytest.mark.parametrize("prime", [None, 2.5])
+    @pytest.mark.parametrize("suppress", [None, 0, 400, 407])  # 400, 407 >= every n
+    def test_slice_windows_match_index_gather(self, rng, prime, suppress):
+        """Window sums read with slices equal the index-gather formula bit
+        for bit, latch and baseline included."""
+        cfg = CFG
+        for n in (1, 30, 180, 400):
+            norms = np.abs(rng.normal(loc=2.0, scale=0.5, size=n)) + 0.1
+            norms[rng.integers(n):] += rng.choice([0.0, 5.0])
+            # the index-gather formula the slices replace
+            fill = norms[0] if prime is None else prime
+            padded = np.concatenate([np.full(cfg.t2, fill), norms])
+            csum = np.concatenate([[0.0], np.cumsum(padded)])
+            k = np.arange(n)
+            m = (csum[k + cfg.t2 + 1] - csum[k + cfg.t2 - cfg.t1]) / (cfg.t1 + 1)
+            long_mean = (csum[k + cfg.t2 + 1] - csum[k]) / (cfg.t2 + 1)
+            first = cfg.t2 + 1 if suppress is None else suppress
+            fires = (m >= (1.0 + cfg.f) * long_mean) & (k >= first)
+            latch = int(np.argmax(fires)) if fires.any() else None
+            if latch is None:
+                baseline = long_mean[-1]
+            else:
+                baseline = long_mean[latch - 1] if latch > 0 else fill
+
+            trace = mi_trace(norms, cfg, prime=prime, suppress=suppress)
+            assert trace.m.tobytes() == m.tobytes()
+            assert trace.l_u.tobytes() == ((1.0 + cfg.f) * long_mean).tobytes()
+            assert trace.latch_index == latch
+            assert np.float64(trace.baseline).tobytes() == np.float64(baseline).tobytes()
+
 
 class TestDetectorOnStreams:
     def test_fma_detected_quickly(self):

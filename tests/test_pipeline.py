@@ -1,9 +1,16 @@
+import numpy as np
 import pytest
 
 import fmaguard.harness as hn
 from fmaguard.attack import AttackSpec, BasicFMA, apply_fma
 from fmaguard.mismatch import DegenerateMeasurement
-from fmaguard.pipeline import BatchCase, DetectionEvent, batch_run, run
+from fmaguard.pipeline import (
+    BatchCase,
+    DetectionEvent,
+    _check_degenerate_burst,
+    batch_run,
+    run,
+)
 from fmaguard.scenario import (
     FaultSpec,
     default_scenario,
@@ -102,6 +109,28 @@ class TestRun:
         stream.i2[50:150] = 0.0
         with pytest.raises(DegenerateMeasurement):
             run(stream, make_cfg(trained_model))
+
+    @pytest.mark.parametrize("start", [0, 7, 10])
+    def test_degenerate_burst_limit_boundary(self, start):
+        """A burst of exactly the limit passes, one frame more raises, at
+        the start, inside and flush with the end of the mask."""
+        limit = 50
+        mask = np.zeros(60, dtype=bool)
+        mask[start:start + limit] = True
+        _check_degenerate_burst(mask, limit)
+        longer = np.zeros(61, dtype=bool)
+        longer[start:start + limit + 1] = True
+        with pytest.raises(DegenerateMeasurement, match="burst of 51 frames"):
+            _check_degenerate_burst(longer, limit)
+
+    def test_degenerate_bursts_split_by_a_clean_frame(self):
+        limit = 50
+        mask = np.ones(2 * limit + 1, dtype=bool)
+        mask[limit] = False
+        _check_degenerate_burst(mask, limit)
+
+    def test_empty_degenerate_mask_passes(self):
+        _check_degenerate_burst(np.zeros(0, dtype=bool), 50)
 
     def test_trace_log_shapes(self, trained_model):
         stream = fma_stream()
