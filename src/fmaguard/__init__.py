@@ -1,166 +1,21 @@
 """fmaguard: phasor-domain simulation of fault-masking attacks on line
 current differential relays, plus the two-stage detector (physics-based
 mismatch index and a neural zone-confirmation classifier) and an
-evaluation harness."""
+evaluation harness.
+
+The package root re-exports the scenario entry points and the relay
+settings; everything else is imported from its module
+(``fmaguard.attack``, ``fmaguard.mismatch``, ``fmaguard.pipeline``, ...)."""
 
 __version__ = "0.1.0"
 
-from .phasors import (
-    ALPHA,
-    Phasor,
-    SequenceSet,
-    ThreePhaseSet,
-    from_sequence,
-    to_sequence,
-    wrap_angle,
-)
-from .relay import (
-    RelaySettings,
-    RelayVerdict,
-    differential_current,
-    operating_current,
-    restraining_current,
-    trip_decision,
-)
-from .sequence_network import (
-    FAULT_KINDS,
-    SequenceImpedance,
-    SingularNetwork,
-    UnsupportedFault,
-)
-from .scenario import (
-    ExternalFaultSpec,
-    FaultSpec,
-    LineModel,
-    LineScenario,
-    LoadScale,
-    MeasurementFrame,
-    ShuntSwitch,
-    SourceEquivalent,
-    SourceStep,
-    Stream,
-    default_scenario,
-    generate_stream,
-    healthy_reference,
-    solve_faulted,
-    solve_healthy,
-)
-from .attack import (
-    AttackSpec,
-    BasicFMA,
-    CTSaturationSpec,
-    DistortionSpec,
-    StealthyFMA,
-    add_awgn,
-    apply_ct_saturation,
-    apply_distortions,
-    apply_fma,
-    apply_stealthy_fma,
-)
-from .mismatch import (
-    MIConfig,
-    MIState,
-    PVector,
-    calculated_local_voltage,
-    compute_p,
-    compute_p_stream,
-    mi_config_for,
-    mi_trace,
-    p_norm,
-    reset,
-    update,
-)
-from .features import FeatureVector, extract_features, feature_names
-from .classifier import MLPModel, TrainConfig, kfold_evaluate, load_model, predict, save_model, train
-from .pipeline import DetectionEvent, PipelineConfig, PipelineResult, batch_run, run
-from .harness import (
-    Case,
-    ConfusionCounts,
-    MetricReport,
-    SweepSpec,
-    compute_metrics,
-    generate_sweep,
-    roc_auc,
-    split,
-    split_indices,
-)
+from .relay import RelaySettings
+from .scenario import FaultSpec, default_scenario, generate_stream, healthy_reference
 
 __all__ = [
-    "ALPHA",
-    "Phasor",
-    "SequenceSet",
-    "ThreePhaseSet",
-    "from_sequence",
-    "to_sequence",
-    "wrap_angle",
     "RelaySettings",
-    "RelayVerdict",
-    "differential_current",
-    "operating_current",
-    "restraining_current",
-    "trip_decision",
-    "FAULT_KINDS",
-    "SequenceImpedance",
-    "SingularNetwork",
-    "UnsupportedFault",
-    "ExternalFaultSpec",
     "FaultSpec",
-    "LineModel",
-    "LineScenario",
-    "LoadScale",
-    "MeasurementFrame",
-    "ShuntSwitch",
-    "SourceEquivalent",
-    "SourceStep",
-    "Stream",
     "default_scenario",
     "generate_stream",
     "healthy_reference",
-    "solve_faulted",
-    "solve_healthy",
-    "AttackSpec",
-    "BasicFMA",
-    "CTSaturationSpec",
-    "DistortionSpec",
-    "StealthyFMA",
-    "add_awgn",
-    "apply_ct_saturation",
-    "apply_distortions",
-    "apply_fma",
-    "apply_stealthy_fma",
-    "MIConfig",
-    "MIState",
-    "PVector",
-    "calculated_local_voltage",
-    "compute_p",
-    "compute_p_stream",
-    "mi_config_for",
-    "mi_trace",
-    "p_norm",
-    "reset",
-    "update",
-    "FeatureVector",
-    "extract_features",
-    "feature_names",
-    "MLPModel",
-    "TrainConfig",
-    "kfold_evaluate",
-    "load_model",
-    "predict",
-    "save_model",
-    "train",
-    "DetectionEvent",
-    "PipelineConfig",
-    "PipelineResult",
-    "batch_run",
-    "run",
-    "Case",
-    "ConfusionCounts",
-    "MetricReport",
-    "SweepSpec",
-    "compute_metrics",
-    "generate_sweep",
-    "roc_auc",
-    "split",
-    "split_indices",
 ]

@@ -19,12 +19,18 @@ references.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .phasors import Phasor, wrap_angle_array
-from .scenario import LineModel, LineScenario, MeasurementFrame, Stream, healthy_reference
+from .scenario import LineModel, LineScenario, Stream, healthy_reference
+
+#: Guards of the consistency components: a reference angle (rad), a local
+#: voltage magnitude (kV) or a local current (kA) below these is degenerate.
+EPS_ANGLE_RAD = 1e-3
+EPS_MAG_KV = 1e-6
+EPS_CURRENT_KA = 1e-9
 
 
 class DegenerateMeasurement(Exception):
@@ -40,9 +46,6 @@ class MIConfig:
     f: float = 0.05
     t1: int = 9
     t2: int = 99
-    eps_angle_rad: float = 1e-3
-    eps_mag_kv: float = 1e-6
-    eps_current_ka: float = 1e-9
 
     def __post_init__(self) -> None:
         if not (0.0 < self.f < 1.0):
@@ -58,33 +61,6 @@ def mi_config_for(scenario: LineScenario, **kwargs) -> MIConfig:
     return MIConfig(i_d_n=healthy_reference(scenario).i_d, **kwargs)
 
 
-@dataclass(frozen=True)
-class PVector:
-    """One frame's consistency components."""
-
-    delta_vm: float
-    delta_va: float
-    v_drop_mag: float
-    id_ratio: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.delta_vm, self.delta_va, self.v_drop_mag, self.id_ratio])
-
-
-def p_norm(p: PVector) -> float:
-    """Euclidean norm of the consistency vector."""
-    return float(np.sqrt(np.sum(p.as_array() ** 2)))
-
-
-def calculated_local_voltage(i1: Phasor, i2: Phasor, line: LineModel) -> Phasor:
-    """Local voltage reconstructed from both currents on the healthy model
-    (positive-sequence quantities)."""
-    z_se = line.z_se.positive
-    z_sh = line.z_sh.positive
-    z = i1.as_complex * z_se + (i1.as_complex + i2.as_complex) * z_sh
-    return Phasor.from_complex(z)
-
-
 @dataclass
 class PTrace:
     """Vectorized consistency components for a whole stream."""
@@ -96,20 +72,21 @@ class PTrace:
     substitutions: int
 
 
-def _ffill(values: np.ndarray, valid: np.ndarray, fallback) -> np.ndarray:
-    """Replace invalid entries with the last valid one along axis 0."""
+def _ffill(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Replace invalid entries with the last valid one along axis 0 (zero
+    before the first valid one)."""
     if valid.all():
         return values
     idx = np.where(valid, np.arange(len(values))[:, None], -1)
     idx = np.maximum.accumulate(idx, axis=0)
     cols = np.arange(values.shape[1])[None, :]
     out = values[np.maximum(idx, 0), cols]
-    return np.where(idx >= 0, out, fallback)
+    return np.where(idx >= 0, out, 0.0)
 
 
 def compute_p_components(v1: np.ndarray, i1: np.ndarray, i2: np.ndarray,
                          line: LineModel, cfg: MIConfig,
-                         prev=None, repeats: np.ndarray | None = None) -> PTrace:
+                         repeats: np.ndarray | None = None) -> PTrace:
     """Consistency components from (N, 3) per-phase measurement arrays.
 
     Each phase is checked against the healthy single-circuit model (its
@@ -127,9 +104,9 @@ def compute_p_components(v1: np.ndarray, i1: np.ndarray, i2: np.ndarray,
     i_d = i1 + i2
     v1c = i1 * z_se + i_d * z_sh
 
-    ok_current = np.abs(i1) >= cfg.eps_current_ka
+    ok_current = np.abs(i1) >= EPS_CURRENT_KA
     mag_m = np.abs(v1)
-    ok_mag = (mag_m >= cfg.eps_mag_kv) & ok_current
+    ok_mag = (mag_m >= EPS_MAG_KV) & ok_current
     with np.errstate(divide="ignore", invalid="ignore"):
         delta_vm = (np.abs(v1c) - mag_m) / mag_m
 
@@ -137,17 +114,15 @@ def compute_p_components(v1: np.ndarray, i1: np.ndarray, i2: np.ndarray,
     ref = np.where(ok_current, np.exp(-1j * np.angle(np.where(ok_current, i1, 1.0))), 1.0)
     ang_m = wrap_angle_array(np.angle(v1 * ref))
     ang_c = wrap_angle_array(np.angle(v1c * ref))
-    ok_ang = (np.abs(ang_m) >= cfg.eps_angle_rad) & ok_current & (mag_m > 0)
+    ok_ang = (np.abs(ang_m) >= EPS_ANGLE_RAD) & ok_current & (mag_m > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         delta_va = wrap_angle_array(ang_c - ang_m) / ang_m
 
     v_drop = np.abs(i_d * z_se)
     id_ratio = np.abs(i_d) / cfg.i_d_n.magnitude
 
-    prev_vm = prev[0] if prev is not None else 0.0
-    prev_va = prev[1] if prev is not None else 0.0
-    delta_vm = _ffill(np.where(ok_mag, delta_vm, 0.0), ok_mag, prev_vm)
-    delta_va = _ffill(np.where(ok_ang, delta_va, 0.0), ok_ang, prev_va)
+    delta_vm = _ffill(np.where(ok_mag, delta_vm, 0.0), ok_mag)
+    delta_va = _ffill(np.where(ok_ang, delta_va, 0.0), ok_ang)
 
     comps = np.stack([delta_vm, delta_va, v_drop, id_ratio], axis=-1)  # (N, 3, 4)
     phase_norms = np.sqrt(np.sum(comps**2, axis=-1))
@@ -192,104 +167,6 @@ def compute_p_stream(stream: Stream, line: LineModel, cfg: MIConfig) -> PTrace:
     return compute_p_components(v1, i1, i2, line, cfg)
 
 
-def compute_p(frame: MeasurementFrame, line: LineModel, cfg: MIConfig,
-              prev: PVector | None = None) -> tuple:
-    """Worst-phase consistency vector of a single frame.
-
-    Returns ``(PVector, degenerate)`` where ``degenerate`` reports whether
-    any component of any phase was substituted.
-    """
-    prev_vals = (prev.delta_vm, prev.delta_va) if prev is not None else None
-    trace = compute_p_components(
-        frame.v1.as_array()[None, :],
-        frame.i1.as_array()[None, :],
-        frame.i2.as_array()[None, :],
-        line, cfg, prev=prev_vals,
-    )
-    worst = int(np.argmax(trace.phase_norms[0]))
-    c = trace.components[0, worst]
-    return PVector(float(c[0]), float(c[1]), float(c[2]), float(c[3])), bool(trace.degenerate[0])
-
-
-@dataclass
-class MIState:
-    """Ring buffers and latch of one monitored stream.
-
-    Buffers are pre-filled with the first norm so both means are defined
-    from the first sample; the latch is suppressed for the first ``t2+1``
-    samples after a cold start.
-    """
-
-    t1: int
-    t2: int
-    long_buf: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    short_buf: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    pos_long: int = 0
-    pos_short: int = 0
-    sum_long: float = 0.0
-    sum_short: float = 0.0
-    samples_seen: int = 0
-    suppress_until: int = 0
-    latched: bool = False
-    m: float = 0.0
-    l_u: float = 0.0
-    baseline: float = 0.0
-
-    @classmethod
-    def for_config(cls, cfg: MIConfig) -> "MIState":
-        state = cls(t1=cfg.t1, t2=cfg.t2)
-        state.suppress_until = cfg.t2 + 1
-        return state
-
-    def _prime(self, value: float) -> None:
-        self.long_buf = np.full(self.t2 + 1, value)
-        self.short_buf = np.full(self.t1 + 1, value)
-        self.sum_long = value * (self.t2 + 1)
-        self.sum_short = value * (self.t1 + 1)
-        self.pos_long = 0
-        self.pos_short = 0
-        self.baseline = value
-
-    def push(self, value: float) -> None:
-        if self.samples_seen == 0:
-            self._prime(value)
-        else:
-            self.sum_long += value - self.long_buf[self.pos_long]
-            self.long_buf[self.pos_long] = value
-            self.pos_long = (self.pos_long + 1) % (self.t2 + 1)
-            self.sum_short += value - self.short_buf[self.pos_short]
-            self.short_buf[self.pos_short] = value
-            self.pos_short = (self.pos_short + 1) % (self.t1 + 1)
-        self.samples_seen += 1
-
-
-def update(state: MIState, p_norm_value: float, cfg: MIConfig) -> tuple:
-    """Feed one norm; returns ``(m, l_u, o)`` and latches on ``m >= l_u``."""
-    state.push(p_norm_value)
-    state.m = state.sum_short / (cfg.t1 + 1)
-    long_mean = state.sum_long / (cfg.t2 + 1)
-    state.l_u = (1.0 + cfg.f) * long_mean
-    if not state.latched and state.samples_seen > state.suppress_until:
-        if state.m >= state.l_u:
-            state.latched = True
-        else:
-            # healthy operating level remembered for re-priming after reset
-            state.baseline = long_mean
-    return state.m, state.l_u, state.latched
-
-
-def reset(state: MIState, healthy_norm: float | None = None) -> MIState:
-    """Clear the latch and re-prime buffers from a healthy operating level."""
-    value = state.baseline if healthy_norm is None else healthy_norm
-    state._prime(value)
-    state.samples_seen = max(state.samples_seen, 1)
-    state.suppress_until = 0
-    state.latched = False
-    state.m = value
-    state.l_u = (1.0 + 0.0) * value  # recomputed properly on next update
-    return state
-
-
 @dataclass
 class MITrace:
     """Vectorized detector trace over a stream of norms."""
@@ -303,11 +180,16 @@ class MITrace:
 
 def mi_trace(norms: np.ndarray, cfg: MIConfig, prime: float | None = None,
              suppress: int | None = None) -> MITrace:
-    """Trailing means, threshold and latch over a whole norm sequence.
+    """Trailing means, threshold and latch over one segment of norms.
 
-    Equivalent to feeding ``update`` sample by sample: buffers pre-filled
-    with ``prime`` (default: the first norm) and the latch suppressed for
-    the first ``suppress`` samples (default ``t2+1`` for a cold start).
+    Both trailing windows are pre-filled with ``prime`` (default: the
+    first norm), so the means are defined from the first sample.  The
+    latch is suppressed for the first ``suppress`` samples (default
+    ``t2+1`` for a cold start) and holds once set.  ``baseline`` is the
+    long mean of the sample before the latch (``prime`` if the latch is
+    on the first sample), or of the last sample when nothing latches: it
+    follows every sample before the latch, suppressed or not.
+    ``pipeline.scan_mi`` drives this across latches and the clearance.
     """
     n = len(norms)
     if n == 0:

@@ -24,6 +24,15 @@ from .scenario import LineModel, Stream
 
 EVENT_KINDS = ("RelayTrip", "MITrigger", "ZCCInternal", "ZCCExternal", "FMAAlarm", "Reset")
 
+#: Action an FMAAlarm requests: trip the breaker directly.
+ALARM_ACTION = "TripDirect"
+#: Power cycles from an MI latch to the detector's re-prime; the latched
+#: output of an external verdict clears after the same span.
+HOLDOFF_CYCLES = 1.0
+#: Longest run of frames with substituted consistency components that the
+#: detector tolerates before it aborts with DegenerateMeasurement.
+DEGENERATE_BURST_LIMIT = 50
+
 
 @dataclass(frozen=True)
 class DetectionEvent:
@@ -42,14 +51,7 @@ class PipelineConfig:
     relay: RelaySettings
     mi: MIConfig
     model: zcc.MLPModel | None = None
-    alarm_action: str = "TripDirect"
-    holdoff_cycles: float = 1.0
     zcc_threshold: float = 0.5
-    degenerate_burst_limit: int = 50
-
-    def __post_init__(self) -> None:
-        if self.alarm_action not in ("TripDirect", "AlarmOnly"):
-            raise ValueError("alarm_action must be TripDirect or AlarmOnly")
 
 
 @dataclass
@@ -82,22 +84,27 @@ def _check_degenerate_burst(degenerate: np.ndarray, limit: int) -> None:
 
 @dataclass
 class MIScan:
-    """Latch-and-resume sweep of the detector over a norm sequence.
-
-    The detector is scanned exactly as the online logic would drive it:
-    cold start with warm-up suppression, re-prime from the healthy
-    baseline after every latch hold-off, and a re-prime at the
-    ground-truth clearance boundary.
-    """
+    """Latch-and-resume sweep of the detector over a norm sequence."""
 
     m: np.ndarray
     l_u: np.ndarray
     latches: list  # latch indices, in order
-    reset_index: int | None
+    reset_index: int | None  # where the clearance re-prime happened
 
 
 def scan_mi(norms: np.ndarray, mi: MIConfig, stop: int, clear_index: int | None,
             holdoff: int, max_latches: int = 32) -> MIScan:
+    """Drive ``mi_trace`` over ``norms[:stop]`` exactly as the online logic
+    does; ``run`` and the dataset's trigger alignment both use it.
+
+    Cold start with warm-up suppression.  ``holdoff`` samples after each
+    latch the detector re-primes from that segment's baseline with no
+    suppression.  Once, at ``clear_index``, a detector that is not in a
+    hold-off re-primes the same way.  A hold-off that runs past
+    ``clear_index`` ends the segment there, so ``m`` and ``l_u`` stay 0
+    until the re-prime.  Scanning stops at ``stop`` or after
+    ``max_latches`` latches.
+    """
     n = len(norms)
     m = np.zeros(n)
     l_u = np.zeros(n)
@@ -131,8 +138,9 @@ def scan_mi(norms: np.ndarray, mi: MIConfig, stop: int, clear_index: int | None,
     return MIScan(m=m, l_u=l_u, latches=latches, reset_index=reset_index)
 
 
-def holdoff_samples(stream: Stream, cfg: PipelineConfig) -> int:
-    return max(1, int(round(cfg.holdoff_cycles * stream.samples_per_cycle)))
+def holdoff_samples(stream: Stream) -> int:
+    """Samples between a latch and the detector's re-prime."""
+    return max(1, int(round(HOLDOFF_CYCLES * stream.samples_per_cycle)))
 
 
 def run(stream: Stream, cfg: PipelineConfig) -> PipelineResult:
@@ -155,11 +163,12 @@ def run(stream: Stream, cfg: PipelineConfig) -> PipelineResult:
     # detector watches only while the relay is silent
     stop = trip_index if trip_index is not None else n
     ptrace = compute_p_stream(stream, cfg.line, cfg.mi)
-    _check_degenerate_burst(ptrace.degenerate[:stop], cfg.degenerate_burst_limit)
+    _check_degenerate_burst(ptrace.degenerate[:stop], DEGENERATE_BURST_LIMIT)
     norms = ptrace.norms
 
     clear_index = stream.meta.get("clear_index")
-    scan = scan_mi(norms, cfg.mi, stop, clear_index, holdoff_samples(stream, cfg))
+    holdoff = holdoff_samples(stream)
+    scan = scan_mi(norms, cfg.mi, stop, clear_index, holdoff)
 
     o = np.zeros(n, dtype=bool)
     offset = pre_trigger_offset(stream)
@@ -192,10 +201,10 @@ def run(stream: Stream, cfg: PipelineConfig) -> PipelineResult:
             o[k:] = True
             events.append(DetectionEvent(t=float(stream.t[k]), kind="FMAAlarm",
                                          payload={"p_internal": prob,
-                                                  "action": cfg.alarm_action}))
+                                                  "action": ALARM_ACTION}))
             break
         # external verdict: the latch clears after the hold-off
-        o[k:min(k + holdoff_samples(stream, cfg), n)] = True
+        o[k:min(k + holdoff, n)] = True
 
     cleared = (clear_index is not None and 0 < clear_index < n
                and clear_index <= stop and stream.fault_active[clear_index - 1])

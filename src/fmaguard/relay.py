@@ -13,15 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phasors import Phasor, ThreePhaseSet
-
-#: Relay settings of the reference study system (kA / dimensionless).
-DEFAULT_SETTINGS_VALUES = (0.05, 0.585, 0.2, 0.4)
-
 
 @dataclass(frozen=True)
 class RelaySettings:
-    """Differential threshold, restraining breakpoint and the two slopes."""
+    """Differential threshold, restraining breakpoint and the two slopes
+    (kA / dimensionless); the defaults are the reference study's."""
 
     i_d0: float = 0.05
     i_b: float = 0.585
@@ -35,69 +31,12 @@ class RelaySettings:
             raise ValueError("slopes must satisfy 0 < k1 < k2 < 1")
 
 
-@dataclass(frozen=True)
-class RelayVerdict:
-    """Per-phase trip decision with the intermediate quantities kept for logs."""
+def operating_current_array(i_r: np.ndarray, settings: RelaySettings) -> np.ndarray:
+    """Dual-slope operating threshold for restraining currents ``i_r`` (kA).
 
-    trip_a: bool
-    trip_b: bool
-    trip_c: bool
-    i_d: tuple
-    i_r: tuple
-    i_op: tuple
-
-    @property
-    def any_trip(self) -> bool:
-        return self.trip_a or self.trip_b or self.trip_c
-
-    @property
-    def trips(self) -> tuple:
-        return (self.trip_a, self.trip_b, self.trip_c)
-
-
-def differential_current(i1: Phasor, i2: Phasor) -> Phasor:
-    """Vector sum of the local and remote terminal currents."""
-    return i1 + i2
-
-
-def restraining_current(i1: Phasor, i2: Phasor) -> float:
-    """Sum of the two current magnitudes (kA)."""
-    return i1.magnitude + i2.magnitude
-
-
-def operating_current(i_r: float, settings: RelaySettings) -> float:
-    """Dual-slope operating threshold for a given restraining current.
-
-    Continuous at the breakpoint: below ``i_b`` the first slope applies,
+    Continuous at the breakpoint: up to ``i_b`` the first slope applies,
     above it the second slope takes over from the breakpoint value.
     """
-    if i_r < 0:
-        raise ValueError("restraining current must be non-negative")
-    s = settings
-    if i_r <= s.i_b:
-        return s.i_d0 + s.k1 * i_r
-    return s.i_d0 + s.k1 * s.i_b + s.k2 * (i_r - s.i_b)
-
-
-def trip_decision(i1: ThreePhaseSet, i2: ThreePhaseSet, settings: RelaySettings) -> RelayVerdict:
-    """Evaluate the trip condition ``|I_d| >= I_op`` on each phase."""
-    i_d = []
-    i_r = []
-    i_op = []
-    trips = []
-    for p1, p2 in ((i1.a, i2.a), (i1.b, i2.b), (i1.c, i2.c)):
-        d = differential_current(p1, p2).magnitude
-        r = restraining_current(p1, p2)
-        op = operating_current(r, settings)
-        i_d.append(d)
-        i_r.append(r)
-        i_op.append(op)
-        trips.append(d >= op)
-    return RelayVerdict(trips[0], trips[1], trips[2], tuple(i_d), tuple(i_r), tuple(i_op))
-
-
-def operating_current_array(i_r: np.ndarray, settings: RelaySettings) -> np.ndarray:
-    """Vectorized dual-slope characteristic."""
     s = settings
     low = s.i_d0 + s.k1 * i_r
     high = s.i_d0 + s.k1 * s.i_b + s.k2 * (i_r - s.i_b)

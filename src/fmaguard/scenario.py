@@ -191,28 +191,9 @@ class LineScenario:
         return self.sample_rate_hz / self.system_freq_hz
 
 
-@dataclass(frozen=True)
-class FrameFlags:
-    fault_active: bool
-    fault_internal: bool
-    attack_active: bool
-
-
-@dataclass(frozen=True)
-class MeasurementFrame:
-    """One 1 kHz sample of the quantities delivered to the monitored relay."""
-
-    t: float
-    v1: ThreePhaseSet
-    i1: ThreePhaseSet
-    i2: ThreePhaseSet
-    i2_true: ThreePhaseSet
-    flags: FrameFlags
-
-
 @dataclass
 class Stream:
-    """Struct-of-arrays measurement stream; iterates as MeasurementFrames.
+    """Struct-of-arrays measurement stream: one row per frame.
 
     ``i2`` is what the relay receives; it equals ``i2_true`` until an
     attack-channel transform replaces it.
@@ -232,26 +213,6 @@ class Stream:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def frame(self, k: int) -> MeasurementFrame:
-        return MeasurementFrame(
-            t=float(self.t[k]),
-            v1=ThreePhaseSet.from_array(self.v1[k]),
-            i1=ThreePhaseSet.from_array(self.i1[k]),
-            i2=ThreePhaseSet.from_array(self.i2[k]),
-            i2_true=ThreePhaseSet.from_array(self.i2_true[k]),
-            flags=FrameFlags(
-                bool(self.fault_active[k]),
-                bool(self.fault_internal[k]),
-                bool(self.attack_active[k]),
-            ),
-        )
-
-    def __getitem__(self, k: int) -> MeasurementFrame:
-        return self.frame(k)
-
-    def __iter__(self):
-        return (self.frame(k) for k in range(len(self)))
 
     def copy(self) -> "Stream":
         return Stream(

@@ -4,11 +4,15 @@ These deliberately take different computational routes from the library:
 the network oracle assembles one dense phase-domain MNA system (no
 sequence decomposition, no Thevenin reduction, no superposition), the
 relay oracle re-codes the characteristic as scalar branches, the
-feature oracle computes one snapshot at a time, and the gradient oracle
-uses central finite differences.
+feature oracle computes one snapshot at a time, the mismatch-index
+oracle is a sample-by-sample state machine with ring buffers, and the
+gradient oracle uses central finite differences.
 """
 
 from __future__ import annotations
+
+import math
+from collections import deque
 
 import numpy as np
 
@@ -143,6 +147,85 @@ def relay_trip_oracle(i_d_mag: float, i_r: float, i_d0: float, i_b: float,
     else:
         threshold = i_d0 + k1 * i_b + k2 * (i_r - i_b)
     return i_d_mag >= threshold
+
+
+class MIReference:
+    """Scalar mismatch-index state machine fed one norm at a time.
+
+    Ring buffers of the last ``t1+1`` and ``t2+1`` norms are pre-filled
+    with ``prime`` (default: the first norm), so both means are defined
+    from the first sample.  The latch is suppressed for the first
+    ``suppress`` samples (default ``t2+1``, a cold start) and holds once
+    set.  ``baseline`` starts at the fill value and takes the long mean
+    of every sample before the latch, suppressed or not; it is the level
+    a re-prime starts from.
+    """
+
+    def __init__(self, cfg, prime: float | None = None, suppress: int | None = None):
+        self.cfg = cfg
+        self.prime = prime
+        self.suppress = cfg.t2 + 1 if suppress is None else suppress
+        self.samples = 0
+        self.latched = False
+        self.baseline = prime
+        self.short = None
+        self.long = None
+
+    def update(self, value: float) -> tuple:
+        """Feed one norm; returns ``(m, l_u, latched)``."""
+        cfg = self.cfg
+        if self.long is None:
+            fill = value if self.prime is None else self.prime
+            self.short = deque([fill] * (cfg.t1 + 1), maxlen=cfg.t1 + 1)
+            self.long = deque([fill] * (cfg.t2 + 1), maxlen=cfg.t2 + 1)
+            self.baseline = fill
+        self.short.append(value)
+        self.long.append(value)
+        m = math.fsum(self.short) / (cfg.t1 + 1)
+        long_mean = math.fsum(self.long) / (cfg.t2 + 1)
+        l_u = (1.0 + cfg.f) * long_mean
+        if not self.latched:
+            if self.samples >= self.suppress and m >= l_u:
+                self.latched = True
+            else:
+                self.baseline = long_mean
+        self.samples += 1
+        return m, l_u, self.latched
+
+
+def scan_reference(norms, cfg, stop: int, clear_index, holdoff: int,
+                   max_latches: int = 32) -> tuple:
+    """Frame-by-frame drive of :class:`MIReference` under the online policy.
+
+    Cold start.  A latched detector keeps running through its hold-off;
+    ``holdoff`` frames after the latch a new detector is primed from its
+    baseline with no suppression.  At ``clear_index`` a detector primed
+    before it re-primes the same way if it is unlatched; if it is latched
+    its segment ends there and the frames up to the next re-prime report
+    0.  After ``max_latches`` latches the detector runs to the end of its
+    segment.  Returns ``(m, l_u, latches, reset_index)``.
+    """
+    n = len(norms)
+    m, l_u = np.zeros(n), np.zeros(n)
+    latches, reset_index = [], None
+    det, primed_at, resume, watching = MIReference(cfg), 0, None, True
+    for k in range(stop):
+        if k == resume:
+            det, primed_at, resume, watching = MIReference(cfg, det.baseline, 0), k, None, True
+        elif k == clear_index and primed_at < k:
+            if det.latched:
+                watching = False
+            else:
+                det, primed_at, reset_index = MIReference(cfg, det.baseline, 0), k, k
+        if not watching:
+            continue
+        was_latched = det.latched
+        m[k], l_u[k], latched = det.update(float(norms[k]))
+        if latched and not was_latched:
+            latches.append(k)
+            if len(latches) < max_latches:
+                resume = k + holdoff
+    return m, l_u, latches, reset_index
 
 
 def snapshot_features(v_abc: np.ndarray, i_abc: np.ndarray) -> tuple:

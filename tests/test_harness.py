@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import fmaguard.classifier as zcc
 import fmaguard.harness as hn
 
 
@@ -90,6 +93,9 @@ class TestSplit:
     def test_empty_class(self):
         with pytest.raises(hn.InsufficientData):
             hn.split_indices(np.array([], dtype=int))
+
+    def test_one_insufficient_data_exception(self):
+        assert hn.InsufficientData is zcc.InsufficientData
 
 
 class TestMetrics:
@@ -197,3 +203,29 @@ class TestSuiteEvaluation:
         parallel = hn.pipeline_outcomes(cases, cfg, jobs=2)
         assert [(r.case_id, r.fma_alarm, r.latency_samples) for r in serial] == \
                [(r.case_id, r.fma_alarm, r.latency_samples) for r in parallel]
+
+    def test_parallel_dataset_matches_serial(self):
+        cases = hn.generate_sweep(hn.SweepSpec(positives=3, negatives=3, snr_db=35.0), seed=8)
+        x1, y1, ids1 = hn.build_dataset(cases, jobs=1)
+        x2, y2, ids2 = hn.build_dataset(cases, jobs=2)
+        assert x1.tobytes() == x2.tobytes()
+        assert np.array_equal(y1, y2) and ids1 == ids2
+
+    def test_dataset_peak_memory_does_not_grow_with_cases(self):
+        """Streams are realized and reduced one case at a time, so doubling
+        the case count leaves the peak to the feature rows, not the streams."""
+
+        def sweep(n):
+            return hn.generate_sweep(hn.SweepSpec(positives=n // 2, negatives=n - n // 2,
+                                                  snr_db=35.0), seed=77)
+
+        hn.build_dataset(sweep(8))  # fill the steady-state memos first
+        peaks = []
+        for cases in (sweep(40), sweep(80)):
+            tracemalloc.start()
+            try:
+                hn.build_dataset(cases)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]

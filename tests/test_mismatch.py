@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from oracles import MIReference
 
 from fmaguard.attack import (
     AttackSpec,
@@ -13,19 +17,13 @@ from fmaguard.attack import (
 )
 from fmaguard.mismatch import (
     MIConfig,
-    MIState,
-    PVector,
-    calculated_local_voltage,
-    compute_p,
     compute_p_components,
     compute_p_stream,
     mi_config_for,
     mi_trace,
-    p_norm,
-    reset,
-    update,
 )
 from fmaguard.phasors import Phasor
+from fmaguard.pipeline import scan_mi
 from fmaguard.scenario import (
     ExternalFaultSpec,
     FaultSpec,
@@ -60,48 +58,85 @@ class TestConfig:
         assert CFG.t2 == 99
 
 
+def components_of(v1, i1, i2):
+    """Consistency trace of (N, 3) measurement arrays on the study line."""
+    return compute_p_components(np.atleast_2d(v1), np.atleast_2d(i1), np.atleast_2d(i2),
+                                SCENARIO.line, CFG)
+
+
 class TestCalculatedVoltage:
+    """The local voltage reconstructed from both currents on the healthy
+    model, seen through the voltage components of the consistency vector."""
+
     def test_healthy_self_consistency(self):
-        v1c = calculated_local_voltage(HEALTHY.i1, HEALTHY.i2, SCENARIO.line)
-        assert abs(v1c.as_complex - HEALTHY.v1.as_complex) / HEALTHY.v1.magnitude < 1e-8
+        stream = generate_stream(default_scenario(duration_s=0.05))
+        trace = components_of(stream.v1, stream.i1, stream.i2)
+        assert np.abs(trace.components[..., :2]).max() < 1e-8
+        assert not trace.degenerate.any()
 
     def test_zero_currents(self):
-        assert calculated_local_voltage(Phasor(), Phasor(), SCENARIO.line).magnitude == 0.0
+        zero = np.zeros(3, dtype=complex)
+        trace = components_of(generate_stream(SCENARIO).v1[0], zero, zero)
+        # no current: no series drop, no differential, voltage checks guarded
+        assert trace.components.tobytes() == np.zeros((1, 3, 4)).tobytes()
+        assert trace.norms[0] == 0.0
+        assert trace.degenerate[0]
 
     def test_fma_frame_breaks_consistency(self):
         stream = attacked_stream()
-        k = 250
-        from fmaguard.phasors import ThreePhaseSet, to_sequence
+        trace = components_of(stream.v1[[100, 250]], stream.i1[[100, 250]],
+                              stream.i2[[100, 250]])
+        assert np.abs(trace.components[0, :, 0]).max() < 1e-8
+        assert np.abs(trace.components[1, :, 0]).max() > 0.3
 
-        i1 = to_sequence(ThreePhaseSet.from_array(stream.i1[k])).positive
-        i2 = to_sequence(ThreePhaseSet.from_array(stream.i2[k])).positive
-        v1m = to_sequence(ThreePhaseSet.from_array(stream.v1[k])).positive
-        v1c = calculated_local_voltage(i1, i2, SCENARIO.line)
-        assert abs(v1c.as_complex - v1m.as_complex) / v1m.magnitude > 0.3
+
+def frame_with_components(delta_vm: float, delta_va: float):
+    """One balanced frame whose every phase has consistency components
+    ``(delta_vm, delta_va, 0, 0)``: ``i2 = -i1`` cancels the series drop
+    and the differential ratio, and ``v1`` is placed against the voltage
+    ``i1 * z_se`` the model reconstructs from the currents."""
+    z_se = SCENARIO.line.z_se.positive
+    i1 = 0.3 * np.exp(-1j * np.radians([0.0, 120.0, 240.0]))
+    v1 = (np.abs(i1 * z_se) / (1.0 + delta_vm)
+          * np.exp(1j * (np.angle(i1) + np.angle(z_se) / (1.0 + delta_va))))
+    return v1, i1, -i1
 
 
 class TestPVector:
+    """The norm fed to the detector is the Euclidean norm of the consistency
+    vector: per phase over its four components, per frame over all twelve."""
+
     def test_norm_345(self):
-        assert p_norm(PVector(3.0, 4.0, 0.0, 0.0)) == pytest.approx(5.0)
+        trace = components_of(*frame_with_components(3.0, 4.0))
+        assert trace.components[0, :, :2] == pytest.approx(np.full((3, 2), [3.0, 4.0]), rel=1e-9)
+        assert trace.components[0, :, 2:].max() == pytest.approx(0.0, abs=1e-12)
+        assert trace.phase_norms[0] == pytest.approx([5.0] * 3, rel=1e-9)
+        assert trace.norms[0] == pytest.approx(5.0 * math.sqrt(3.0), rel=1e-9)
 
     def test_norm_zero(self):
-        assert p_norm(PVector(0.0, 0.0, 0.0, 0.0)) == 0.0
+        trace = components_of(*frame_with_components(0.0, 0.0))
+        assert trace.norms[0] == pytest.approx(0.0, abs=1e-12)
 
-    @given(vals=st.lists(st.floats(min_value=-50, max_value=50), min_size=4, max_size=4))
+    @given(vals=st.lists(st.floats(min_value=-5, max_value=5), min_size=18, max_size=18))
     @settings(max_examples=100)
     def test_norm_matches_recomputation(self, vals):
-        p = PVector(*vals)
-        assert p_norm(p) == pytest.approx(float(np.linalg.norm(np.array(vals))), rel=1e-12)
+        parts = np.array(vals).reshape(3, 2, 3)
+        v1, i1, i2 = (p[0] + 1j * p[1] for p in parts)
+        trace = components_of(v1, i1, i2)
+        comps = trace.components[0]
+        assert trace.phase_norms[0] == pytest.approx(np.linalg.norm(comps, axis=1), rel=1e-12)
+        assert trace.norms[0] == pytest.approx(float(np.linalg.norm(comps)), rel=1e-12)
 
     def test_healthy_frame_components(self):
         stream = generate_stream(default_scenario(duration_s=0.05))
-        p, degenerate = compute_p(stream.frame(10), SCENARIO.line, CFG)
-        assert not degenerate
-        assert abs(p.delta_vm) < 1e-9
-        assert abs(p.delta_va) < 1e-9
-        assert p.id_ratio == pytest.approx(1.0, abs=1e-9)
-        assert p.v_drop_mag == pytest.approx(
-            HEALTHY.i_d.magnitude * abs(SCENARIO.line.z_se.positive), rel=1e-9)
+        trace = compute_p_stream(stream, SCENARIO.line, CFG)
+        assert not trace.degenerate[10]
+        p = trace.components[10]  # (3 phases, 4 components)
+        assert np.abs(p[:, 0]).max() < 1e-9
+        assert np.abs(p[:, 1]).max() < 1e-9
+        assert p[:, 3] == pytest.approx([1.0] * 3, abs=1e-9)
+        assert p[:, 2] == pytest.approx(
+            [HEALTHY.i_d.magnitude * abs(SCENARIO.line.z_se.positive)] * 3, rel=1e-9)
 
     def test_fma_frame_norm_rises_an_order_of_magnitude(self):
         stream = attacked_stream()
@@ -124,106 +159,112 @@ class TestPVector:
         assert v_drop[250] > 2.0 * v_drop[100]
 
 
+def step_norms(before: int, after: int, low: float = 1.0, high: float = 10.0):
+    return np.concatenate([np.full(before, low), np.full(after, high)])
+
+
 class TestUpdateLatch:
     def test_constant_norms_parallel_lines(self):
         cfg = CFG
-        state = MIState.for_config(cfg)
-        for _ in range(cfg.t2 + 50):
-            m, l_u, o = update(state, 2.0, cfg)
-        assert m == pytest.approx(2.0)
-        assert l_u == pytest.approx(2.0 * (1 + cfg.f))
-        assert l_u / m == pytest.approx(1 + cfg.f, rel=1e-12)
-        assert not o
+        trace = mi_trace(np.full(cfg.t2 + 50, 2.0), cfg)
+        assert trace.m[-1] == pytest.approx(2.0)
+        assert trace.l_u[-1] == pytest.approx(2.0 * (1 + cfg.f))
+        assert trace.l_u[-1] / trace.m[-1] == pytest.approx(1 + cfg.f, rel=1e-12)
+        assert trace.latch_index is None and not trace.o.any()
 
     def test_two_point_mean(self):
         cfg = MIConfig(i_d_n=HEALTHY.i_d, t1=1, t2=5)
-        state = MIState.for_config(cfg)
-        update(state, 2.0, cfg)
-        m, _, _ = update(state, 4.0, cfg)
-        assert m == pytest.approx(3.0)
+        assert mi_trace(np.array([2.0, 4.0]), cfg).m[1] == pytest.approx(3.0)
 
     def test_step_latches_within_short_window(self):
         cfg = CFG
-        state = MIState.for_config(cfg)
-        for _ in range(cfg.t2 + 10):
-            update(state, 1.0, cfg)
-        latched_at = None
-        for k in range(cfg.t1 + 1):
-            _, _, o = update(state, 10.0, cfg)
-            if o:
-                latched_at = k
-                break
-        assert latched_at is not None
-        assert latched_at <= cfg.t1  # within t1+1 samples = 10 ms at 1 kHz
+        trace = mi_trace(step_norms(cfg.t2 + 10, cfg.t1 + 1), cfg)
+        assert trace.latch_index is not None
+        # within t1+1 samples = 10 ms at 1 kHz
+        assert 0 <= trace.latch_index - (cfg.t2 + 10) <= cfg.t1
 
     def test_latch_is_monotone(self):
         cfg = CFG
-        state = MIState.for_config(cfg)
-        for _ in range(cfg.t2 + 10):
-            update(state, 1.0, cfg)
-        for _ in range(5):
-            update(state, 10.0, cfg)
-        assert state.latched
-        for _ in range(200):
-            _, _, o = update(state, 1.0, cfg)
-            assert o
+        norms = np.concatenate([step_norms(cfg.t2 + 10, 5), np.full(200, 1.0)])
+        trace = mi_trace(norms, cfg)
+        assert trace.latch_index is not None and trace.latch_index < cfg.t2 + 15
+        assert trace.o[trace.latch_index:].all()
+        assert not trace.o[:trace.latch_index].any()
 
     def test_cold_start_suppression(self):
         """A step inside the warm-up window must not latch."""
         cfg = CFG
-        state = MIState.for_config(cfg)
-        update(state, 1.0, cfg)
-        for _ in range(cfg.t2 - 10):
-            _, _, o = update(state, 50.0, cfg)
-        assert not state.latched
+        assert mi_trace(step_norms(1, cfg.t2 - 10, high=50.0), cfg).latch_index is None
 
 
 class TestReset:
-    def _latched_state(self, cfg):
-        state = MIState.for_config(cfg)
-        for _ in range(cfg.t2 + 10):
-            update(state, 1.0, cfg)
-        for _ in range(cfg.t1 + 2):
-            update(state, 10.0, cfg)
-        assert state.latched
-        return state
+    """Re-priming after a latch, as ``scan_mi`` does after each hold-off
+    and at a fault clearance."""
 
     def test_reset_clears_latch(self):
-        state = self._latched_state(CFG)
-        reset(state)
-        assert not state.latched
+        latched = mi_trace(step_norms(CFG.t2 + 10, CFG.t1 + 2), CFG)
+        assert latched.latch_index == CFG.t2 + 10
+        assert latched.baseline == pytest.approx(1.0)
+        resumed = mi_trace(np.full(CFG.t2, 1.0), CFG, prime=latched.baseline, suppress=0)
+        assert resumed.latch_index is None and not resumed.o.any()
 
     def test_reset_then_healthy_quiet(self):
-        state = self._latched_state(CFG)
-        reset(state)
-        for _ in range(300):
-            _, _, o = update(state, 1.0, CFG)
-        assert not state.latched
+        # hold-off re-prime on the first healthy sample after the step
+        norms = np.concatenate([step_norms(CFG.t2 + 10, CFG.t1 + 2), np.full(300, 1.0)])
+        scan = scan_mi(norms, CFG, len(norms), None, holdoff=CFG.t1 + 2)
+        assert scan.latches == [CFG.t2 + 10]
+        # clearance re-prime on a quiet stream
+        quiet = np.full(450, 1.0)
+        scan = scan_mi(quiet, CFG, len(quiet), 200, holdoff=17)
+        assert scan.latches == [] and scan.reset_index == 200
 
     def test_reset_mid_fault_retriggers_quickly(self):
-        state = self._latched_state(CFG)
-        reset(state)
-        retriggered = None
-        for k in range(CFG.t1 + 1):
-            _, _, o = update(state, 10.0, CFG)
-            if o:
-                retriggered = k
-                break
-        assert retriggered is not None and retriggered <= CFG.t1
+        holdoff = 17
+        norms = step_norms(CFG.t2 + 10, 200)
+        scan = scan_mi(norms, CFG, len(norms), None, holdoff=holdoff)
+        assert scan.latches[0] == CFG.t2 + 10
+        assert 0 <= scan.latches[1] - (scan.latches[0] + holdoff) <= CFG.t1
+
+
+def assert_matches_reference(norms, cfg, prime=None, suppress=None):
+    """mi_trace equals the scalar state machine sample by sample."""
+    trace = mi_trace(norms, cfg, prime=prime, suppress=suppress)
+    ref = MIReference(cfg, prime=prime, suppress=suppress)
+    for k, value in enumerate(norms):
+        m, l_u, o = ref.update(float(value))
+        assert m == pytest.approx(trace.m[k], rel=1e-12)
+        assert l_u == pytest.approx(trace.l_u[k], rel=1e-12)
+        assert o == trace.o[k]
+    assert trace.baseline == pytest.approx(ref.baseline, rel=1e-12)
+    return trace, ref
+
+
+def noisy_step(rng):
+    norms = np.abs(rng.normal(loc=2.0, scale=0.5, size=400)) + 0.1
+    norms[300:] += 5.0
+    return norms
 
 
 class TestVectorizedTrace:
     def test_matches_streaming_updates(self, rng):
+        trace, _ = assert_matches_reference(noisy_step(rng), CFG)
+        assert trace.latch_index is not None
+
+    @pytest.mark.parametrize("suppress", [0, 150])
+    def test_primed_trace_matches_streaming_updates(self, rng, suppress):
+        trace, _ = assert_matches_reference(noisy_step(rng), CFG, prime=2.5, suppress=suppress)
+        assert trace.latch_index is not None
+
+    def test_baseline_follows_suppressed_samples(self):
+        """A cold-start latch on the first eligible sample re-primes from
+        the long mean of the sample before it, warm-up samples included."""
         cfg = CFG
-        norms = np.abs(rng.normal(loc=2.0, scale=0.5, size=400)) + 0.1
-        norms[300:] += 5.0
-        trace = mi_trace(norms, cfg)
-        state = MIState.for_config(cfg)
-        for k, value in enumerate(norms):
-            m, l_u, o = update(state, float(value), cfg)
-            assert m == pytest.approx(trace.m[k], rel=1e-12)
-            assert l_u == pytest.approx(trace.l_u[k], rel=1e-12)
-            assert o == trace.o[k]
+        norms = step_norms(90, 60)
+        trace, ref = assert_matches_reference(norms, cfg)
+        assert trace.latch_index == cfg.t2 + 1 == 100
+        # long mean at sample 99: 90 samples of 1.0 and 10 of 10.0
+        assert trace.baseline == pytest.approx(1.9, rel=1e-12)
+        assert ref.baseline == pytest.approx(1.9, rel=1e-12)
 
     def test_empty_input(self):
         trace = mi_trace(np.zeros(0), CFG)

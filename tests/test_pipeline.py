@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
 
+from oracles import scan_reference
+
 import fmaguard.harness as hn
 from fmaguard.attack import AttackSpec, BasicFMA, apply_fma
-from fmaguard.mismatch import DegenerateMeasurement
+from fmaguard.mismatch import DegenerateMeasurement, compute_p_stream
 from fmaguard.pipeline import (
     BatchCase,
     DetectionEvent,
     _check_degenerate_burst,
     batch_run,
+    holdoff_samples,
     run,
+    scan_mi,
 )
+from fmaguard.relay import RelaySettings, trip_eval_stream
 from fmaguard.scenario import (
     FaultSpec,
     default_scenario,
@@ -51,6 +56,7 @@ class TestRun:
         result = run(stream, make_cfg(trained_model))
         kinds = [e.kind for e in result.events]
         assert kinds == ["MITrigger", "ZCCInternal", "FMAAlarm"]
+        assert result.events_of("FMAAlarm")[0].payload["action"] == "TripDirect"
         assert result.relay_trip_index is None
         # within 1.5 power cycles of inception (25 samples at 1 kHz/60 Hz)
         assert result.alarm_index - 250 <= 25
@@ -164,3 +170,62 @@ class TestBatch:
         rows = batch_run([bad, good], make_cfg(trained_model))
         assert rows[0].error is not None
         assert rows[1].error is None
+
+
+def assert_scan_matches_reference(norms, mi, stop, clear_index, holdoff, max_latches=32):
+    scan = scan_mi(norms, mi, stop, clear_index, holdoff, max_latches=max_latches)
+    m, l_u, latches, reset_index = scan_reference(norms, mi, stop, clear_index, holdoff,
+                                                  max_latches=max_latches)
+    assert scan.latches == latches
+    assert scan.reset_index == reset_index
+    np.testing.assert_allclose(scan.m, m, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(scan.l_u, l_u, rtol=1e-12, atol=0.0)
+    return scan
+
+
+class TestScanAgainstReference:
+    """scan_mi against the frame-by-frame scalar detector and policy."""
+
+    def test_noisy_sweep(self):
+        cases = hn.generate_sweep(hn.SweepSpec(positives=40, negatives=60, snr_db=35.0), seed=3)
+        mi = hn.default_mi_config()
+        cleared = resets = relatched = 0
+        for case in cases:
+            stream = hn.realize(case)
+            norms = compute_p_stream(stream, case.scenario.line, mi).norms
+            trip, *_ = trip_eval_stream(stream.i1, stream.i2, RelaySettings())
+            tripped = trip.any(axis=1)
+            stop = int(np.argmax(tripped)) if tripped.any() else len(stream)
+            clear_index = stream.meta.get("clear_index")
+            holdoff = holdoff_samples(stream)
+            # as pipeline.run drives it, then as the dataset's trigger alignment does
+            scan = assert_scan_matches_reference(norms, mi, stop, clear_index, holdoff)
+            assert_scan_matches_reference(norms, mi, len(stream), clear_index, holdoff,
+                                          max_latches=hn.MAX_TRIGGERS)
+            cleared += clear_index is not None
+            resets += scan.reset_index is not None
+            relatched += len(scan.latches) > 1
+        assert len(cases) == 100
+        assert cleared >= 40 and resets > 0 and relatched > 0
+
+    def test_holdoff_over_the_clearance(self):
+        """A hold-off running past the clearance ends the segment there:
+        m and l_u stay 0 until the hold-off re-prime, and no clearance
+        re-prime follows."""
+        mi = hn.default_mi_config()
+        norms = np.concatenate([np.full(200, 1.0), np.full(250, 10.0)])
+        scan = assert_scan_matches_reference(norms, mi, len(norms), 205, holdoff=17)
+        assert scan.latches[:2] == [200, 217]
+        assert scan.reset_index is None
+        assert not scan.m[205:217].any() and scan.m[204] > 0 and scan.m[217] > 0
+
+    def test_holdoff_is_one_cycle(self):
+        assert holdoff_samples(generate_stream(default_scenario(duration_s=0.05))) == 17
+
+    def test_latch_cap(self):
+        mi = hn.default_mi_config()
+        norms = np.concatenate([np.full(200, 1.0), np.full(250, 10.0)])
+        scan = assert_scan_matches_reference(norms, mi, len(norms), None, holdoff=17,
+                                             max_latches=3)
+        assert scan.latches == [200, 217, 234]
+        assert scan.m[-1] > 0

@@ -6,57 +6,62 @@ from hypothesis import strategies as st
 from oracles import relay_trip_oracle
 
 from fmaguard.phasors import Phasor, ThreePhaseSet
-from fmaguard.relay import (
-    RelaySettings,
-    differential_current,
-    operating_current,
-    operating_current_array,
-    restraining_current,
-    trip_decision,
-    trip_eval_stream,
-)
+from fmaguard.relay import RelaySettings, operating_current_array, trip_eval_stream
 
 SETTINGS = RelaySettings()  # study values: 0.05, 0.585, 0.2, 0.4
 
 
 def balanced(mag, deg):
-    return ThreePhaseSet.balanced(Phasor.from_polar_deg(mag, deg))
+    return ThreePhaseSet.balanced(Phasor.from_polar_deg(mag, deg)).as_array()
+
+
+def evaluate(i1, i2, settings=SETTINGS):
+    """Relay quantities of one frame of per-phase (3,) currents:
+    ``(trips, i_d, i_r, i_op)`` as tuples over the phases."""
+    trip, i_d, i_r, i_op = trip_eval_stream(np.atleast_2d(i1), np.atleast_2d(i2), settings)
+    return tuple(trip[0]), tuple(i_d[0]), tuple(i_r[0]), tuple(i_op[0])
+
+
+def operating_current(i_r: float) -> float:
+    return float(operating_current_array(np.array([i_r]), SETTINGS)[0])
 
 
 class TestQuantities:
     def test_differential_through_current_cancels(self):
-        d = differential_current(Phasor.from_polar_deg(1, 0), Phasor.from_polar_deg(1, 180))
-        assert d.magnitude < 1e-12
+        _, i_d, _, _ = evaluate(np.full(3, 1.0 + 0j), np.full(3, -1.0 + 0j))
+        assert max(i_d) < 1e-12
 
     def test_differential_zero(self):
-        assert differential_current(Phasor(), Phasor()).magnitude == 0.0
+        _, i_d, _, _ = evaluate(np.zeros(3, dtype=complex), np.zeros(3, dtype=complex))
+        assert i_d == (0.0, 0.0, 0.0)
 
     def test_differential_internal_infeed(self):
-        d = differential_current(Phasor.from_polar_deg(1, 0), Phasor.from_polar_deg(1, 0))
-        assert d.as_complex == pytest.approx(2.0 + 0j)
+        _, i_d, _, _ = evaluate(np.full(3, 1.0 + 0j), np.full(3, 1.0 + 0j))
+        assert i_d == pytest.approx((2.0, 2.0, 2.0))
 
     def test_restraining_examples(self):
-        assert restraining_current(Phasor.from_polar_deg(1, 0), Phasor.from_polar_deg(1, 180)) == pytest.approx(2.0)
-        assert restraining_current(Phasor(), Phasor()) == 0.0
+        _, _, i_r, _ = evaluate(np.full(3, 1.0 + 0j), np.full(3, -1.0 + 0j))
+        assert i_r == pytest.approx((2.0, 2.0, 2.0))
+        _, _, i_r, _ = evaluate(np.zeros(3, dtype=complex), np.zeros(3, dtype=complex))
+        assert i_r == (0.0, 0.0, 0.0)
         # study's normal flows: the restraint is the sum of magnitudes
-        r = restraining_current(Phasor.from_polar_deg(0.273, 97.8),
-                                Phasor.from_polar_deg(0.29, -73.56))
-        assert r == pytest.approx(0.563, abs=1e-12)
+        _, _, i_r, _ = evaluate(balanced(0.273, 97.8), balanced(0.29, -73.56))
+        assert i_r == pytest.approx((0.563,) * 3, abs=1e-12)
 
     def test_operating_current_first_branch(self):
         # 0.05 + 0.2 * 0.4
-        assert operating_current(0.4, SETTINGS) == pytest.approx(0.13)
+        assert operating_current(0.4) == pytest.approx(0.13)
 
     def test_operating_current_second_branch(self):
         # 0.05 + 0.2 * 0.585 + 0.4 * (1 - 0.585)
-        assert operating_current(1.0, SETTINGS) == pytest.approx(0.333)
+        assert operating_current(1.0) == pytest.approx(0.333)
 
     def test_operating_current_at_zero(self):
-        assert operating_current(0.0, SETTINGS) == SETTINGS.i_d0
+        assert operating_current(0.0) == SETTINGS.i_d0
 
     def test_continuity_at_breakpoint(self):
-        below = operating_current(SETTINGS.i_b - 1e-12, SETTINGS)
-        above = operating_current(SETTINGS.i_b + 1e-12, SETTINGS)
+        below = operating_current(SETTINGS.i_b - 1e-12)
+        above = operating_current(SETTINGS.i_b + 1e-12)
         assert above == pytest.approx(below, abs=1e-9)
 
     def test_monotone_non_decreasing(self):
@@ -68,32 +73,29 @@ class TestQuantities:
 class TestTripDecision:
     def test_internal_infeed_trips(self):
         i1 = balanced(1.0, 0.0)
-        verdict = trip_decision(i1, i1, SETTINGS)
-        assert verdict.any_trip
-        assert verdict.i_d[0] == pytest.approx(2.0)
-        assert verdict.i_op[0] == pytest.approx(0.733)
+        trips, i_d, _, i_op = evaluate(i1, i1)
+        assert any(trips)
+        assert i_d[0] == pytest.approx(2.0)
+        assert i_op[0] == pytest.approx(0.733)
 
     def test_healthy_calibrated_flow_blocks(self):
-        i1 = balanced(0.29, -73.56)
-        i2 = balanced(0.273, 97.8)
-        verdict = trip_decision(i1, i2, SETTINGS)
-        assert not verdict.any_trip
-        assert verdict.i_op[0] == pytest.approx(0.163, abs=5e-4)
-        assert verdict.i_d[0] == pytest.approx(0.046, abs=1e-3)
+        trips, i_d, _, i_op = evaluate(balanced(0.29, -73.56), balanced(0.273, 97.8))
+        assert not any(trips)
+        assert i_op[0] == pytest.approx(0.163, abs=5e-4)
+        assert i_d[0] == pytest.approx(0.046, abs=1e-3)
 
     def test_perfectly_masked_blocks(self):
         i1 = balanced(1.0, 0.0)
-        i2 = ThreePhaseSet.from_array(-i1.as_array())
-        verdict = trip_decision(i1, i2, SETTINGS)
-        assert not verdict.any_trip
-        assert verdict.i_d == (0.0, 0.0, 0.0)
+        trips, i_d, _, _ = evaluate(i1, -i1)
+        assert not any(trips)
+        assert i_d == (0.0, 0.0, 0.0)
 
     def test_any_trip_is_or_of_phases(self):
-        i1 = ThreePhaseSet(Phasor.from_polar_deg(2, 0), Phasor(0.01, 0), Phasor(0.01, 0))
-        i2 = ThreePhaseSet(Phasor.from_polar_deg(2, 0), Phasor(-0.01, 0), Phasor(-0.01, 0))
-        verdict = trip_decision(i1, i2, SETTINGS)
-        assert verdict.trips == (True, False, False)
-        assert verdict.any_trip
+        i1 = np.array([2.0, 0.01, 0.01], dtype=complex)
+        i2 = np.array([2.0, -0.01, -0.01], dtype=complex)
+        trip, *_ = trip_eval_stream(i1[None, :], i2[None, :], SETTINGS)
+        assert tuple(trip[0]) == (True, False, False)
+        assert trip.any(axis=1)[0]
 
     def test_invalid_settings(self):
         with pytest.raises(ValueError):
@@ -125,14 +127,12 @@ class TestOracleGrid:
     )
     @settings(max_examples=200)
     def test_scale_covariance(self, mag1, mag2, ang1, ang2, scale):
-        i1 = balanced(mag1, ang1)
-        i2 = balanced(mag2, ang2)
-        base = trip_decision(i1, i2, SETTINGS)
+        base, *_ = evaluate(balanced(mag1, ang1), balanced(mag2, ang2))
         scaled_settings = RelaySettings(i_d0=SETTINGS.i_d0 * scale, i_b=SETTINGS.i_b * scale,
                                         k1=SETTINGS.k1, k2=SETTINGS.k2)
-        scaled = trip_decision(balanced(mag1 * scale, ang1), balanced(mag2 * scale, ang2),
-                               scaled_settings)
-        assert base.trips == scaled.trips
+        scaled, *_ = evaluate(balanced(mag1 * scale, ang1), balanced(mag2 * scale, ang2),
+                              scaled_settings)
+        assert base == scaled
 
 
 class TestVectorized:
@@ -141,8 +141,10 @@ class TestVectorized:
         i2 = rng.normal(size=(50, 3)) + 1j * rng.normal(size=(50, 3))
         trip, i_d, i_r, i_op = trip_eval_stream(i1, i2, SETTINGS)
         for k in range(50):
-            verdict = trip_decision(ThreePhaseSet.from_array(i1[k]),
-                                    ThreePhaseSet.from_array(i2[k]), SETTINGS)
-            assert tuple(trip[k]) == verdict.trips
-            assert i_d[k] == pytest.approx(verdict.i_d)
-            assert i_op[k] == pytest.approx(verdict.i_op)
+            for p in range(3):
+                d = abs(complex(i1[k, p]) + complex(i2[k, p]))
+                r = abs(complex(i1[k, p])) + abs(complex(i2[k, p]))
+                assert i_d[k, p] == pytest.approx(d, rel=1e-12)
+                assert i_r[k, p] == pytest.approx(r, rel=1e-12)
+                assert trip[k, p] == relay_trip_oracle(d, r, SETTINGS.i_d0, SETTINGS.i_b,
+                                                       SETTINGS.k1, SETTINGS.k2)
