@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phasors import abc_to_seq_array, wrap_angle_array
+from .phasors import abc_to_seq_array, wrap_angle_array, wrapped_angle
 from .scenario import Stream
 
 #: Substitute apparent impedance when the current is too small to divide by.
@@ -108,14 +108,14 @@ def _snapshot_features(v_abc: np.ndarray, i_abc: np.ndarray) -> tuple:
 
     v_mag = np.abs(v)
     i_mag = np.abs(i)
-    v_ang = wrap_angle_array(np.angle(v))
-    i_ang = wrap_angle_array(np.angle(i))
+    v_ang = wrapped_angle(v)
+    i_ang = wrapped_angle(i)
 
     ok = i_mag >= CURRENT_FLOOR_KA
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(ok, v / np.where(ok, i, 1.0), 0.0)
     z_mag = np.where(ok, np.abs(z), IMPEDANCE_SENTINEL)
-    z_ang = np.where(ok, wrap_angle_array(np.angle(z)), 0.0)
+    z_ang = np.where(ok, wrapped_angle(z), 0.0)
     z_re = np.where(ok, z.real, IMPEDANCE_SENTINEL)
     z_im = np.where(ok, z.imag, 0.0)
 

@@ -482,9 +482,13 @@ def _realized(cases, jobs: int = 1):
         for chunk in chunks:
             yield from [realize(c) for c in chunk]
         return
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # spawned workers start from a fresh import: forking a parent that
+    # already runs BLAS threads is unsafe
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
         for chunk in chunks:
             yield from pool.map(realize, chunk, chunksize=8)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phasors import Phasor, wrap_angle_array
+from .phasors import Phasor, wrap_angle_array, wrapped_angle
 from .scenario import LineModel, LineScenario, Stream, healthy_reference
 
 #: Guards of the consistency components: a reference angle (rad), a local
@@ -107,30 +107,33 @@ def compute_p_components(v1: np.ndarray, i1: np.ndarray, i2: np.ndarray,
     ok_current = np.abs(i1) >= EPS_CURRENT_KA
     mag_m = np.abs(v1)
     ok_mag = (mag_m >= EPS_MAG_KV) & ok_current
+    # components, per phase: delta_vm, delta_va, v_drop, id_ratio
+    comps = np.empty(ok_current.shape + (4,))
     with np.errstate(divide="ignore", invalid="ignore"):
         delta_vm = (np.abs(v1c) - mag_m) / mag_m
 
-    # rotate each phase so its local current is the angle reference
-    ref = np.where(ok_current, np.exp(-1j * np.angle(np.where(ok_current, i1, 1.0))), 1.0)
-    ang_m = wrap_angle_array(np.angle(v1 * ref))
-    ang_c = wrap_angle_array(np.angle(v1c * ref))
-    ok_ang = (np.abs(ang_m) >= EPS_ANGLE_RAD) & ok_current & (mag_m > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+        # rotate each phase so its local current is the angle reference
+        if ok_current.all():
+            ref = np.exp(-1j * np.angle(i1))
+        else:
+            ref = np.where(ok_current, np.exp(-1j * np.angle(np.where(ok_current, i1, 1.0))), 1.0)
+        ang_m = wrapped_angle(v1 * ref)
+        ang_c = wrapped_angle(v1c * ref)
+        ok_ang = (np.abs(ang_m) >= EPS_ANGLE_RAD) & ok_current & (mag_m > 0)
         delta_va = wrap_angle_array(ang_c - ang_m) / ang_m
 
-    v_drop = np.abs(i_d * z_se)
-    id_ratio = np.abs(i_d) / cfg.i_d_n.magnitude
+    comps[..., 0] = _ffill(np.where(ok_mag, delta_vm, 0.0), ok_mag)
+    comps[..., 1] = _ffill(np.where(ok_ang, delta_va, 0.0), ok_ang)
+    comps[..., 2] = np.abs(i_d * z_se)
+    comps[..., 3] = np.abs(i_d) / cfg.i_d_n.magnitude
 
-    delta_vm = _ffill(np.where(ok_mag, delta_vm, 0.0), ok_mag)
-    delta_va = _ffill(np.where(ok_ang, delta_va, 0.0), ok_ang)
-
-    comps = np.stack([delta_vm, delta_va, v_drop, id_ratio], axis=-1)  # (N, 3, 4)
-    phase_norms = np.sqrt(np.sum(comps**2, axis=-1))
-    norms = np.sqrt(np.sum(comps**2, axis=(1, 2)))
+    squares = comps * comps
+    phase_norms = np.sqrt(np.add.reduce(squares, axis=-1))
+    norms = np.sqrt(np.add.reduce(squares, axis=(1, 2)))
     degenerate = ~(ok_mag & ok_ang).all(axis=1)
     if repeats is None:
-        return PTrace(comps, phase_norms, norms, degenerate,
-                      substitutions=int((~ok_mag).sum() + (~ok_ang).sum()))
+        substitutions = 2 * ok_mag.size - np.count_nonzero(ok_mag) - np.count_nonzero(ok_ang)
+        return PTrace(comps, phase_norms, norms, degenerate, substitutions=int(substitutions))
     per_row = (~ok_mag).sum(axis=1) + (~ok_ang).sum(axis=1)
     return PTrace(
         components=np.repeat(comps, repeats, axis=0),
@@ -197,8 +200,13 @@ def mi_trace(norms: np.ndarray, cfg: MIConfig, prime: float | None = None,
     fill = norms[0] if prime is None else prime
     if suppress is None:
         suppress = cfg.t2 + 1
-    padded = np.concatenate([np.full(cfg.t2, fill), norms])
-    csum = np.concatenate([[0.0], np.cumsum(padded)])
+    # csum[k] is the sum of the first k entries of t2 copies of fill
+    # followed by the norms, accumulated in order in one buffer
+    csum = np.empty(cfg.t2 + 1 + n)
+    csum[0] = 0.0
+    csum[1:cfg.t2 + 1] = fill
+    csum[cfg.t2 + 1:] = norms
+    np.cumsum(csum[1:], out=csum[1:])
     # window ends csum[t2+1:], short starts csum[t2-t1:], long starts csum[:n]
     end = csum[cfg.t2 + 1:]
     m = (end - csum[cfg.t2 - cfg.t1:cfg.t2 - cfg.t1 + n]) / (cfg.t1 + 1)

@@ -55,6 +55,21 @@ def wrap_angle_array(angles: np.ndarray) -> np.ndarray:
     return np.where(w == -np.pi, np.pi, w)
 
 
+def wrapped_angle(z) -> np.ndarray:
+    """``np.angle(z)`` wrapped to (-pi, pi], equal bit for bit to
+    ``wrap_angle_array(np.angle(z))``.
+
+    An angle ``a`` lies in [-pi, pi], so ``a + pi`` lies in [0, 2*pi].
+    ``np.mod`` returns that sum unchanged below 2*pi and maps 2*pi to 0,
+    whose ``- pi`` is then mapped to pi: the same value ``(a + pi) - pi``
+    gives directly.  Use ``wrap_angle_array`` for anything that is not
+    an ``np.angle`` result, such as a difference of angles.
+    """
+    w = np.angle(z) + np.pi
+    w -= np.pi
+    return np.where(w == -np.pi, np.pi, w)
+
+
 @dataclass(frozen=True)
 class Phasor:
     """A complex electrical quantity (kA or kV) in rectangular form."""

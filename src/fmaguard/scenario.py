@@ -11,6 +11,18 @@ Faults are phasor steps: frames strictly before inception carry the
 healthy steady state, frames at or after it carry the faulted one, and
 network events (shunt switching, source steps, load scaling) splice in
 recomputed steady states the same way.
+
+Steady states are shared between cases.  Unfaulted segments are
+memoized on the network they solve.  A faulted segment memoizes its
+network, measurement branches and fault-bus response on the inputs that
+build the network (line, event-adjusted sources and shunts, adjacent
+line, fault position and which line is faulted), then runs the per-fault
+boundary solve for its own kind and resistance.  That is exact because
+kind and resistance enter only the 3x3 boundary system, so a sweep that
+varies them at a fixed location solves that location's network once.
+Cached arrays are read-only, and segments served from one entry share
+one ``SeqNetwork`` object (``TerminalQuantities.solution.network``), as
+unfaulted states already do.
 """
 
 from __future__ import annotations
@@ -29,6 +41,7 @@ from .sequence_network import (
     SequenceImpedance,
     SingularNetwork,
     UnsupportedFault,
+    fault_bus_response,
     solve_fault,
     solve_unfaulted,
 )
@@ -373,12 +386,14 @@ class _NetworkState:
                              external.line if external.line is not None else line, z_grid)
 
     def build(self, line: LineModel, adjacent: _AdjacentLine | None,
-              fault: FaultSpec | None = None, fault_on_adjacent: bool = False):
+              x: float | None = None, fault_on_adjacent: bool = False):
         """Assemble the SeqNetwork plus measurement branches.
 
-        ``fault`` sits on the protected line, or on the adjacent line when
-        ``fault_on_adjacent``.  The fault node (if any) is named FAULT for
-        internal faults and ADJ_FAULT for external ones.
+        A fault node sits at fractional position ``x`` (None: no fault) on
+        the protected line, or on the adjacent line when
+        ``fault_on_adjacent``.  It is named FAULT for internal faults and
+        ADJ_FAULT for external ones.  The network depends on nothing else
+        of the fault: its kind and resistance enter only the solve.
         """
         net = SeqNetwork()
         net.add_node(BUS1)
@@ -389,9 +404,9 @@ class _NetworkState:
             net.add_shunt(BUS1 if terminal == 1 else BUS2, z)
 
         fault_node = None
-        if fault is not None and not fault_on_adjacent:
+        if x is not None and not fault_on_adjacent:
             fault_node = net.add_node(FAULT)
-            b1, b2 = _line_nodes(net, BUS1, BUS2, MID, line, fault_node, fault.x)
+            b1, b2 = _line_nodes(net, BUS1, BUS2, MID, line, fault_node, x)
         else:
             b1, b2 = _line_nodes(net, BUS1, BUS2, MID, line, None, None)
 
@@ -404,9 +419,9 @@ class _NetworkState:
             v_bus = base.v1.as_complex if adjacent.terminal == 1 else base.v2.as_complex
             emf = _grid_emf_for_idle_adjacent(v_bus, adjacent.line, adjacent.z_grid)
             net.add_source(ADJ_BUS, emf, adjacent.z_grid)
-            if fault is not None and fault_on_adjacent:
+            if x is not None and fault_on_adjacent:
                 fault_node = net.add_node(ADJ_FAULT)
-                _line_nodes(net, bus_t, ADJ_BUS, ADJ_MID, adjacent.line, fault_node, fault.x)
+                _line_nodes(net, bus_t, ADJ_BUS, ADJ_MID, adjacent.line, fault_node, x)
             else:
                 _line_nodes(net, bus_t, ADJ_BUS, ADJ_MID, adjacent.line, None, None)
 
@@ -470,6 +485,16 @@ def _unfaulted_state(line: LineModel, state: _NetworkState,
     return _terminal_quantities(solve_unfaulted(net), meas)
 
 
+@lru_cache(maxsize=STEADY_STATE_CACHE_SIZE)
+def _faulted_network(line: LineModel, state: _NetworkState, adjacent: _AdjacentLine | None,
+                     x: float, fault_on_adjacent: bool) -> tuple:
+    """Memoized faulted network, measurement branches, fault node and
+    fault-bus response: exactly the inputs ``_NetworkState.build`` reads,
+    never the fault kind, resistance or timing."""
+    net, meas, fault_node = state.build(line, adjacent, x, fault_on_adjacent)
+    return net, meas, fault_node, fault_bus_response(net, fault_node)
+
+
 def _segment_state(scenario: LineScenario, active_events: list, fault_active: bool) -> TerminalQuantities:
     state = _apply_events(scenario, active_events)
     external = scenario.external_fault
@@ -477,9 +502,10 @@ def _segment_state(scenario: LineScenario, active_events: list, fault_active: bo
     if not fault_active:
         return _unfaulted_state(scenario.line, state, adjacent)
     fault = scenario.fault if scenario.fault is not None else external.fault
-    net, meas, fault_node = state.build(scenario.line, adjacent, fault,
-                                        fault_on_adjacent=scenario.fault is None)
-    return _terminal_quantities(solve_fault(net, fault_node, fault.kind, fault.r_f), meas)
+    net, meas, fault_node, response = _faulted_network(scenario.line, state, adjacent, fault.x,
+                                                       scenario.fault is None)
+    sol = solve_fault(net, fault_node, fault.kind, fault.r_f, response)
+    return _terminal_quantities(sol, meas)
 
 
 def solve_faulted(line: LineModel, source1: SourceEquivalent, source2: SourceEquivalent,
@@ -490,7 +516,7 @@ def solve_faulted(line: LineModel, source1: SourceEquivalent, source2: SourceEqu
     ThreePhaseSets and the full FaultSolution for inspection.
     """
     state = _NetworkState(source1=source1, source2=source2, terminal_shunts=())
-    net, meas, fault_node = state.build(line, None, fault)
+    net, meas, fault_node = state.build(line, None, fault.x)
     sol = solve_fault(net, fault_node, fault.kind, fault.r_f)
     u1, v1n, z1 = meas.branch1
     u2, v2n, z2 = meas.branch2

@@ -10,9 +10,13 @@ the sequence fault currents, then superposing the injection response.
 
 The three sequence admittance matrices are assembled once as a
 ``(3, n, n)`` stack.  The conditioning guard checks all three in one
-batched call, and a fault solve gets the pre-fault voltages and the
-fault-bus driving-point responses of every sequence from one stacked
-linear solve.
+batched call, and ``fault_bus_response`` gets the pre-fault voltages and
+the fault-bus driving-point responses of every sequence from one stacked
+linear solve.  That half of a fault solve depends only on the network
+and the fault bus; the fault kind and resistance enter only the 3x3
+boundary system that ``solve_fault`` then solves and superposes.  One
+response therefore serves every kind and resistance at a location, with
+the same bits as solving each fault from scratch.
 """
 
 from __future__ import annotations
@@ -207,18 +211,27 @@ def _nodal_system(network: SeqNetwork) -> tuple:
     return y, j, index
 
 
-def solve_fault(network: SeqNetwork, fault_node: str, kind: str, r_f: float) -> FaultSolution:
-    """Solve a shunt fault of the given kind at ``fault_node``.
+@dataclass(frozen=True)
+class FaultBusResponse:
+    """The part of a fault solve that depends only on the network and the
+    fault bus; every array is read-only.
 
-    The three sequence networks are interconnected at the fault bus by the
-    fault kind's boundary conditions (series path for single-line-ground,
-    phase loop for line-line, one path per phase for multi-ground faults).
+    ``v_pre[s]`` are the pre-fault sequence node voltages, ``response[s]``
+    the node voltages per unit current injected at the fault bus, and
+    ``z_th[s]`` the driving-point impedance at the fault bus.
     """
-    if kind not in FAULT_KINDS:
-        raise UnsupportedFault(f"unknown fault kind {kind!r}")
-    if r_f < 0:
-        raise ValueError("fault resistance must be non-negative")
 
+    fault_index: int
+    v_pre: np.ndarray  # (3, n)
+    response: np.ndarray  # (3, n)
+    z_th: np.ndarray  # (3,)
+
+
+def fault_bus_response(network: SeqNetwork, fault_node: str) -> FaultBusResponse:
+    """Pre-fault voltages and fault-bus responses of all three sequences.
+
+    Raises SingularNetwork when a sequence nodal matrix is ill-conditioned.
+    """
     y, j, index = _nodal_system(network)
     idx_f = index[fault_node]
     # Per sequence, column 0 is the source injection (positive sequence
@@ -227,16 +240,37 @@ def solve_fault(network: SeqNetwork, fault_node: str, kind: str, r_f: float) -> 
     rhs[1, :, 0] = j
     rhs[:, idx_f, 1] = 1.0
     x = np.linalg.solve(y, rhs)
-    v_pre, response = x[:, :, 0], x[:, :, 1]
-    z_th = response[:, idx_f].copy()
+    x.flags.writeable = False
+    z_th = x[:, idx_f, 1].copy()
+    z_th.flags.writeable = False
+    return FaultBusResponse(fault_index=idx_f, v_pre=x[:, :, 0], response=x[:, :, 1], z_th=z_th)
 
-    v_oc = np.array([0.0, v_pre[1, idx_f], 0.0], dtype=complex)
+
+def solve_fault(network: SeqNetwork, fault_node: str, kind: str, r_f: float,
+                response: FaultBusResponse | None = None) -> FaultSolution:
+    """Solve a shunt fault of the given kind at ``fault_node``.
+
+    The three sequence networks are interconnected at the fault bus by the
+    fault kind's boundary conditions (series path for single-line-ground,
+    phase loop for line-line, one path per phase for multi-ground faults).
+    ``response`` is ``fault_bus_response(network, fault_node)``, computed
+    here when not given.
+    """
+    if kind not in FAULT_KINDS:
+        raise UnsupportedFault(f"unknown fault kind {kind!r}")
+    if r_f < 0:
+        raise ValueError("fault resistance must be non-negative")
+    if response is None:
+        response = fault_bus_response(network, fault_node)
+
+    z_th = response.z_th
+    v_oc = np.array([0.0, response.v_pre[1, response.fault_index], 0.0], dtype=complex)
     m, b = _boundary_rows(kind, r_f, z_th, v_oc)
     if np.linalg.cond(m) > COND_LIMIT:
         raise SingularNetwork("fault boundary system is ill-conditioned")
     i_seq = np.linalg.solve(m, b)
 
-    v = v_pre - response * i_seq[:, None]
+    v = response.v_pre - response.response * i_seq[:, None]
     node_v = [dict(zip(network.nodes, v[s])) for s in range(3)]
     v_fault_seq = v_oc - z_th * i_seq
     return FaultSolution(

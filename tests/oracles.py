@@ -6,7 +6,9 @@ sequence decomposition, no Thevenin reduction, no superposition), the
 relay oracle re-codes the characteristic as scalar branches, the
 feature oracle computes one snapshot at a time, the mismatch-index
 oracle is a sample-by-sample state machine with ring buffers, and the
-gradient oracle uses central finite differences.
+gradient oracle uses central finite differences.  The angle-wrap and
+consistency-component references keep the plain formulation the tuned
+library kernels must match bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from collections import deque
 import numpy as np
 
 from fmaguard.features import CURRENT_FLOOR_KA, IMPEDANCE_SENTINEL, pre_trigger_offset
-from fmaguard.phasors import ALPHA, ALPHA2, A_PHASE, A_SEQ, abc_to_seq_array, wrap_angle_array
+from fmaguard.mismatch import EPS_ANGLE_RAD, EPS_CURRENT_KA, EPS_MAG_KV, PTrace, _ffill
+from fmaguard.phasors import ALPHA, ALPHA2, A_PHASE, A_SEQ, TWO_PI, abc_to_seq_array, wrap_angle_array
 from fmaguard.scenario import FaultSpec, LineModel, SourceEquivalent
 from fmaguard.sequence_network import FAULT_KINDS, SequenceImpedance
 
@@ -289,3 +292,55 @@ def finite_difference_grads(loss_fn, model, step: float = 1e-6):
             g[idx] = (up - down) / (2 * step)
         grads_b.append(g)
     return grads_w, grads_b
+
+
+def wrap_angle_mod(angles) -> np.ndarray:
+    """Wrap to (-pi, pi] through ``np.mod``, the formulation that
+    ``phasors.wrapped_angle`` shortcuts for ``np.angle`` results."""
+    w = np.mod(np.asarray(angles) + np.pi, TWO_PI) - np.pi
+    return np.where(w == -np.pi, np.pi, w)
+
+
+def p_components_reference(v1: np.ndarray, i1: np.ndarray, i2: np.ndarray,
+                           line: LineModel, cfg, repeats: np.ndarray | None = None) -> PTrace:
+    """``mismatch.compute_p_components`` in its plain form: guarded
+    reference rotation on every frame, ``np.mod`` angle wraps, stacked
+    components and separate squares per norm."""
+    z_se = line.z_se.positive
+    z_sh = line.z_sh.positive
+    i_d = i1 + i2
+    v1c = i1 * z_se + i_d * z_sh
+
+    ok_current = np.abs(i1) >= EPS_CURRENT_KA
+    mag_m = np.abs(v1)
+    ok_mag = (mag_m >= EPS_MAG_KV) & ok_current
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta_vm = (np.abs(v1c) - mag_m) / mag_m
+
+    ref = np.where(ok_current, np.exp(-1j * np.angle(np.where(ok_current, i1, 1.0))), 1.0)
+    ang_m = wrap_angle_mod(np.angle(v1 * ref))
+    ang_c = wrap_angle_mod(np.angle(v1c * ref))
+    ok_ang = (np.abs(ang_m) >= EPS_ANGLE_RAD) & ok_current & (mag_m > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta_va = wrap_angle_mod(ang_c - ang_m) / ang_m
+
+    v_drop = np.abs(i_d * z_se)
+    id_ratio = np.abs(i_d) / cfg.i_d_n.magnitude
+
+    delta_vm = _ffill(np.where(ok_mag, delta_vm, 0.0), ok_mag)
+    delta_va = _ffill(np.where(ok_ang, delta_va, 0.0), ok_ang)
+
+    comps = np.stack([delta_vm, delta_va, v_drop, id_ratio], axis=-1)
+    phase_norms = np.sqrt(np.sum(comps**2, axis=-1))
+    norms = np.sqrt(np.sum(comps**2, axis=(1, 2)))
+    degenerate = ~(ok_mag & ok_ang).all(axis=1)
+    subs = (~ok_mag).sum(axis=1) + (~ok_ang).sum(axis=1)
+    if repeats is None:
+        return PTrace(comps, phase_norms, norms, degenerate, substitutions=int(subs.sum()))
+    return PTrace(
+        components=np.repeat(comps, repeats, axis=0),
+        phase_norms=np.repeat(phase_norms, repeats, axis=0),
+        norms=np.repeat(norms, repeats),
+        degenerate=np.repeat(degenerate, repeats),
+        substitutions=int(subs @ repeats),
+    )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import MIReference
+from oracles import MIReference, p_components_reference
 
 from fmaguard.attack import (
     AttackSpec,
@@ -398,3 +398,50 @@ class TestRunwiseComponents:
         # the angle reference is taken on either side of the branch cut,
         # so the middle run evaluates differently in the last bits
         assert trace.components[5].tobytes() != trace.components[15].tobytes()
+
+
+def _assert_matches_reference(v1, i1, i2, repeats=None):
+    """compute_p_components equals the plain reference, bit for bit."""
+    got = compute_p_components(v1, i1, i2, SCENARIO.line, CFG, repeats=repeats)
+    want = p_components_reference(v1, i1, i2, SCENARIO.line, CFG, repeats=repeats)
+    for name in ("components", "phase_norms", "norms", "degenerate"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.substitutions == want.substitutions
+    return got
+
+
+class TestComponentsMatchReference:
+    def test_noisy_streams(self):
+        for seed in range(4):
+            stream = apply_distortions(attacked_stream(), DistortionSpec(snr_db=35.0), seed)
+            trace = _assert_matches_reference(stream.v1, stream.i1, stream.i2)
+            assert trace.substitutions == 0
+
+    def test_dead_current_burst(self):
+        stream = apply_distortions(attacked_stream(), DistortionSpec(snr_db=35.0), 3)
+        stream.i1[0:4] = 0.0  # before any valid frame: filled with zero
+        stream.i1[150:160] = 0.0  # filled with the last valid frame
+        stream.i1[300:305, 1] = 0.0  # one phase only
+        trace = _assert_matches_reference(stream.v1, stream.i1, stream.i2)
+        assert trace.substitutions == 2 * (4 * 3 + 10 * 3 + 5)
+        assert trace.components[155, 0, 0] == trace.components[149, 0, 0]
+        assert trace.components[155, 0, 1] == trace.components[149, 0, 1]
+
+    def test_zero_voltage_frames(self):
+        stream = apply_distortions(attacked_stream(), DistortionSpec(snr_db=35.0), 4)
+        stream.v1[200:206] = 0.0
+        stream.v1[250, 2] = complex(-0.0, -0.0)
+        trace = _assert_matches_reference(stream.v1, stream.i1, stream.i2)
+        assert trace.degenerate[200:206].all() and trace.degenerate[250]
+
+    def test_run_compressed_stream_with_repeats(self):
+        stream = attacked_stream()
+        stream.i1[100:110] = 0.0
+        rows = np.concatenate([stream.v1, stream.i1, stream.i2], axis=1)
+        starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+        repeats = np.diff(starts, append=len(stream))
+        assert len(starts) < len(stream)
+        trace = _assert_matches_reference(stream.v1[starts], stream.i1[starts],
+                                          stream.i2[starts], repeats=repeats)
+        assert len(trace.norms) == len(stream) and trace.substitutions == 60

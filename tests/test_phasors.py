@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import wrap_angle_mod
+
 from fmaguard.phasors import (
     ALPHA,
     Phasor,
@@ -17,6 +19,7 @@ from fmaguard.phasors import (
     to_sequence,
     wrap_angle,
     wrap_angle_array,
+    wrapped_angle,
 )
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
@@ -130,3 +133,50 @@ class TestFortescue:
 
     def test_alpha_convention(self):
         assert ALPHA == pytest.approx(np.exp(2j * np.pi / 3))
+
+
+# angles on and next to the branch cut: exact -pi and pi (signed zero
+# imaginary parts on the negative real axis), angles a hair below pi
+# whose ``a + pi`` rounds to 2*pi, and non-finite parts
+_EDGE_PHASORS = [
+    complex(-1.0, 0.0), complex(-1.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0),
+    complex(0.0, 0.0), complex(0.0, -0.0), complex(-1.0, 1e-17), complex(-1.0, -1e-17),
+    complex(-1.0, 5e-324), complex(-1.0, -5e-324), complex(-1e300, 1e-300),
+    complex(math.nan, 1.0), complex(1.0, math.nan), complex(math.inf, math.inf),
+    complex(-math.inf, 0.0), complex(-math.inf, -0.0), complex(0.0, -math.inf),
+    complex(-math.inf, math.inf), complex(math.inf, math.nan),
+]
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestWrappedAngle:
+    """``wrapped_angle`` against the ``np.mod`` wrap of ``np.angle``."""
+
+    def test_branch_cut_and_non_finite(self):
+        z = np.array(_EDGE_PHASORS)
+        got = wrapped_angle(z)
+        assert _same_bits(got, wrap_angle_mod(np.angle(z)))
+        assert got[0] == math.pi and got[1] == math.pi
+        assert np.angle(complex(-1.0, 1e-17)) + math.pi == 2 * math.pi  # the rounding case
+
+    def test_empty_and_zero_dimensional(self):
+        for z in (np.zeros(0, dtype=complex), np.zeros((0, 3), dtype=complex),
+                  np.array(complex(-1.0, -0.0)), np.array(1j), complex(-2.0, 0.0)):
+            assert _same_bits(wrapped_angle(z), wrap_angle_mod(np.angle(z)))
+
+    @given(st.lists(st.tuples(_ANY_FLOAT, _ANY_FLOAT), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_mod_wrap(self, parts):
+        z = np.array([complex(re, im) for re, im in parts], dtype=complex)
+        assert _same_bits(wrapped_angle(z), wrap_angle_mod(np.angle(z)))
+
+    @given(st.floats(min_value=-math.pi, max_value=math.pi), st.floats(1e-300, 1e300))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_mod_wrap_on_polar_inputs(self, angle, magnitude):
+        z = np.array([magnitude * complex(math.cos(angle), math.sin(angle))])
+        assert _same_bits(wrapped_angle(z), wrap_angle_mod(np.angle(z)))

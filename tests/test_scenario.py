@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import fmaguard.harness as hn
+
 from oracles import dense_fault_solve
 
 from fmaguard.phasors import positive_sequence
 from fmaguard.scenario import (
+    BUS1,
     ExternalFaultSpec,
     FaultSpec,
     LineScenario,
@@ -19,6 +22,9 @@ from fmaguard.scenario import (
     healthy_reference,
     solve_faulted,
     solve_healthy,
+    _apply_events,
+    _faulted_network,
+    _segment_state,
 )
 from fmaguard.sequence_network import (
     FAULT_KINDS,
@@ -345,3 +351,81 @@ class TestMemoizedSteadyStates:
                 terminal=2, fault=FaultSpec(kind, x, 1.0, 0.2)))
             states.append(generate_stream(scen).meta["segments"][0]["state"])
         assert states[0] is states[1]
+
+
+def _fresh_fault_solve(scenario):
+    """Terminal quantities and fault solution of a scenario's faulted
+    segment, solved from scratch without any memo."""
+    state = _apply_events(scenario, [])
+    adjacent = state.adjacent(scenario.external_fault, scenario.line)
+    fault = scenario.fault if scenario.fault is not None else scenario.external_fault.fault
+    net, meas, fault_node = state.build(scenario.line, adjacent, fault.x,
+                                        fault_on_adjacent=scenario.fault is None)
+    sol = solve_fault(net, fault_node, fault.kind, fault.r_f)
+    return (sol.node_v_abc(BUS1), sol.branch_current_abc(*meas.branch1),
+            sol.branch_current_abc(*meas.branch2), sol)
+
+
+def _topologies(kind, x, r_f):
+    """Internal, external at terminal 1 and 2, and mirrored scenarios."""
+    fault = FaultSpec(kind, x, r_f, 0.1)
+    base = default_scenario(duration_s=0.3)
+    return {
+        "internal": default_scenario(duration_s=0.3, fault=fault),
+        "external-t1": default_scenario(duration_s=0.3, external_fault=ExternalFaultSpec(1, fault)),
+        "external-t2": default_scenario(duration_s=0.3, external_fault=ExternalFaultSpec(2, fault)),
+        "mirrored": LineScenario(line=base.line, source1=base.source2, source2=base.source1,
+                                 fault=FaultSpec(kind, 1.0 - x, r_f, 0.1), duration_s=0.3),
+    }
+
+
+class TestCachedFaultSolve:
+    """Faulted segments share one network solve per location; each must
+    still equal a fresh solve of its own fault, bit for bit."""
+
+    def test_matches_a_fresh_solve_bit_for_bit(self):
+        _faulted_network.cache_clear()
+        # one cache lifetime over every location, topology, kind and
+        # resistance, so an entry served to the wrong network shows here
+        for x in (0.1, 0.5, 0.9):
+            for r_f in (0.001, 30.0, 300.0):
+                for kind in sorted(FAULT_KINDS):
+                    for name, scen in _topologies(kind, x, r_f).items():
+                        got = _segment_state(scen, [], True)
+                        v1, i1, i2, sol = _fresh_fault_solve(scen)
+                        pairs = [(got.v1, v1), (got.i1, i1), (got.i2, i2)] + [
+                            (getattr(got.solution, f), getattr(sol, f))
+                            for f in ("i_fault_seq", "i_fault_abc", "v_fault_abc", "z_thevenin")]
+                        for a, b in pairs:
+                            assert a.tobytes() == b.tobytes(), (name, kind, x, r_f)
+        info = _faulted_network.cache_info()
+        assert info.misses == 3 * 4 and info.hits == 3 * 3 * 11 * 4 - 3 * 4
+
+    def test_one_location_sweep_solves_its_network_once(self):
+        spec = hn.SweepSpec(locations=(0.3,), resistances=(0.001, 30.0, 300.0))
+        cases = hn.generate_sweep(spec, seed=1)
+        _faulted_network.cache_clear()
+        for case in cases:
+            generate_stream(case.scenario)
+        info = _faulted_network.cache_info()
+        assert (info.misses, info.hits) == (1, len(cases) - 1)
+
+    def test_cached_arrays_are_read_only(self):
+        scen = default_scenario(duration_s=0.3, fault=FaultSpec("BC", 0.3, 5.0, 0.1))
+        q = _segment_state(scen, [], True)
+        _net, _meas, _node, response = _faulted_network(
+            scen.line, _apply_events(scen, []), None, 0.3, False)
+        for arr in (response.v_pre, response.response, response.z_th, q.solution.z_thevenin):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_ill_conditioned_network_raises_on_every_call(self):
+        # a fault a hair from the terminal all but shorts one branch
+        scen = default_scenario(duration_s=0.3, fault=FaultSpec("AG", 1e-13, 1.0, 0.1))
+        size = _faulted_network.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(SingularNetwork, match="sequence-0"):
+                _segment_state(scen, [], True)
+            with pytest.raises(SingularNetwork):
+                generate_stream(scen)
+        assert _faulted_network.cache_info().currsize == size
