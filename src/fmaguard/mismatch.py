@@ -112,11 +112,10 @@ def compute_p_components(v1: np.ndarray, i1: np.ndarray, i2: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         delta_vm = (np.abs(v1c) - mag_m) / mag_m
 
-        # rotate each phase so its local current is the angle reference
-        if ok_current.all():
-            ref = np.exp(-1j * np.angle(i1))
-        else:
-            ref = np.where(ok_current, np.exp(-1j * np.angle(np.where(ok_current, i1, 1.0))), 1.0)
+        # rotate each phase so its local current is the angle reference;
+        # frames failing the current guard are masked by ok_ang, so their
+        # reference angle is never used
+        ref = np.exp(-1j * np.angle(i1))
         ang_m = wrapped_angle(v1 * ref)
         ang_c = wrapped_angle(v1c * ref)
         ok_ang = (np.abs(ang_m) >= EPS_ANGLE_RAD) & ok_current & (mag_m > 0)
@@ -200,13 +199,8 @@ def mi_trace(norms: np.ndarray, cfg: MIConfig, prime: float | None = None,
     fill = norms[0] if prime is None else prime
     if suppress is None:
         suppress = cfg.t2 + 1
-    # csum[k] is the sum of the first k entries of t2 copies of fill
-    # followed by the norms, accumulated in order in one buffer
-    csum = np.empty(cfg.t2 + 1 + n)
-    csum[0] = 0.0
-    csum[1:cfg.t2 + 1] = fill
-    csum[cfg.t2 + 1:] = norms
-    np.cumsum(csum[1:], out=csum[1:])
+    padded = np.concatenate([np.full(cfg.t2, fill), norms])
+    csum = np.concatenate([[0.0], np.cumsum(padded)])
     # window ends csum[t2+1:], short starts csum[t2-t1:], long starts csum[:n]
     end = csum[cfg.t2 + 1:]
     m = (end - csum[cfg.t2 - cfg.t1:cfg.t2 - cfg.t1 + n]) / (cfg.t1 + 1)
