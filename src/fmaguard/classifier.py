@@ -52,7 +52,7 @@ class TrainConfig:
     fp_cost: float = 10.0
     fn_cost: float = 1.0
     l2_lambda: float = DEFAULT_L2
-    hidden: tuple = DEFAULT_HIDDEN
+    hidden: tuple[int, ...] = DEFAULT_HIDDEN
     val_fraction: float = 0.15
     k_folds: int = 10
 

@@ -114,13 +114,13 @@ def cmd_simulate(args) -> int:
     stream = apply_distortions(stream, cfg.distortion, cfg.seed)
 
     model = None
-    if cfg.model_path:
-        if not os.path.exists(cfg.model_path):
-            raise MissingArtifact(f"model file not found: {cfg.model_path}")
-        model = zcc.load_model(cfg.model_path)
+    if cfg.zcc.model:
+        if not os.path.exists(cfg.zcc.model):
+            raise MissingArtifact(f"model file not found: {cfg.zcc.model}")
+        model = zcc.load_model(cfg.zcc.model)
 
     pipe_cfg = PipelineConfig(line=cfg.scenario.line, relay=cfg.relay, mi=cfg.mi,
-                              model=model, zcc_threshold=cfg.zcc_threshold)
+                              model=model, zcc_threshold=cfg.zcc.threshold)
     result = run_pipeline(stream, pipe_cfg)
 
     _atomic_write(out / "stream.csv", lambda tmp: write_stream_csv(stream, tmp))
@@ -148,9 +148,9 @@ def cmd_train(args) -> int:
     cfg = parse_train_config(data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if not os.path.exists(cfg.dataset_path):
-        raise MissingArtifact(f"dataset file not found: {cfg.dataset_path}")
-    x, y, _ids = hn.read_dataset_csv(cfg.dataset_path)
+    if not os.path.exists(cfg.dataset):
+        raise MissingArtifact(f"dataset file not found: {cfg.dataset}")
+    x, y, _ids = hn.read_dataset_csv(cfg.dataset)
     train_cfg = cfg.train if args.seed is None else with_seed(cfg.train, args.seed)
     result = zcc.train(x, y, train_cfg)
 
@@ -161,7 +161,7 @@ def cmd_train(args) -> int:
         "train_accuracy": zcc.accuracy(result.model, x, y),
         "layer_sizes": list(result.model.layer_sizes),
     }
-    if cfg.run_kfold:
+    if cfg.kfold:
         folds = zcc.kfold_evaluate(x, y, train_cfg)
         accs = [f.accuracy for f in folds]
         summary["kfold"] = {
@@ -185,9 +185,9 @@ def cmd_eval(args) -> int:
     cfg = with_seed(parse_eval_config(load_yaml(args.config)), args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if not os.path.exists(cfg.model_path):
-        raise MissingArtifact(f"model file not found: {cfg.model_path}")
-    model = zcc.load_model(cfg.model_path)
+    if not os.path.exists(cfg.model):
+        raise MissingArtifact(f"model file not found: {cfg.model}")
+    model = zcc.load_model(cfg.model)
 
     cases = hn.generate_sweep(cfg.sweep, cfg.seed)
     pipe_cfg = hn.default_pipeline_config(model=model, f=cfg.f,
@@ -220,10 +220,10 @@ def cmd_roc(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model = None
-    if cfg.model_path:
-        if not os.path.exists(cfg.model_path):
-            raise MissingArtifact(f"model file not found: {cfg.model_path}")
-        model = zcc.load_model(cfg.model_path)
+    if cfg.model:
+        if not os.path.exists(cfg.model):
+            raise MissingArtifact(f"model file not found: {cfg.model}")
+        model = zcc.load_model(cfg.model)
 
     cases = hn.generate_sweep(cfg.sweep, cfg.seed)
     budget = hn.budget_samples(cases[0].scenario)

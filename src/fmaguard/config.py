@@ -1,23 +1,30 @@
 """YAML run configurations with a strict, documented schema.
 
-Every mapping rejects unknown keys so typos fail loudly.  Complex
-quantities are written either as ``[re, im]`` pairs or as
-``{mag: , deg: }`` polar mappings; angles at this boundary are degrees.
+Each block is built from the dataclass it configures: its keys are the
+field names, an omitted key takes the field default, and unknown keys
+fail loudly.  Complex quantities are written either as ``[re, im]``
+pairs or as ``{mag: , deg: }`` polar mappings; angles here are degrees.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, fields, is_dataclass, replace
+from functools import cache
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
-from .attack import AttackSpec, BasicFMA, CTSaturationSpec, DistortionSpec, StealthyFMA
-from .classifier import DEFAULT_HIDDEN, DEFAULT_L2, TrainConfig
+from .attack import AttackSpec, BasicFMA, DistortionSpec, StealthyFMA
+from .classifier import TrainConfig
 from .harness import SweepSpec
 from .mismatch import MIConfig
 from .phasors import Phasor
+from .pipeline import PipelineConfig
 from .relay import RelaySettings
 from .scenario import (
+    LINE_K0,
+    SHUNT_K0,
     ExternalFaultSpec,
     FaultSpec,
     LineModel,
@@ -30,7 +37,7 @@ from .scenario import (
     default_scenario,
     healthy_reference,
 )
-from .sequence_network import SequenceImpedance
+from .sequence_network import SequenceImpedance, UnsupportedFault
 
 
 class ConfigError(Exception):
@@ -52,9 +59,16 @@ def load_yaml(path) -> dict:
     return data
 
 
+@contextmanager
+def _invalid(context: str):
+    """Report a rejected value or construction as a ConfigError."""
+    try:
+        yield
+    except (TypeError, ValueError, UnsupportedFault) as exc:
+        raise ConfigError(f"invalid {context}: {exc}") from exc
+
+
 def _expect_mapping(value, allowed, context: str) -> dict:
-    if value is None:
-        return {}
     if not isinstance(value, dict):
         raise ConfigError(f"{context} must be a mapping")
     unknown = set(value) - set(allowed)
@@ -63,12 +77,70 @@ def _expect_mapping(value, allowed, context: str) -> dict:
     return value
 
 
+def _split(m: dict, *names) -> tuple:
+    """``(entries of m named in names, the other entries)``."""
+    return ({k: v for k, v in m.items() if k in names},
+            {k: v for k, v in m.items() if k not in names})
+
+
+@cache
+def _fields(cls) -> dict:
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def _value(tp, value, context: str, convert=None):
+    """``value`` through ``convert``, or coerced to annotation ``tp``: float,
+    int, str, bool, ``tuple[X, ...]``, a dataclass built from its own block,
+    or any of these ``| None`` (the only annotations that accept a null)."""
+    options = get_args(tp)
+    if value is None:
+        if type(None) in options:
+            return None
+        raise ConfigError(f"{context} must not be null")
+    if convert is not None:
+        return convert(value, context)
+    if get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{context} must be a list")
+        return tuple(_value(options[0], v, f"{context}[{i}]") for i, v in enumerate(value))
+    tp = next((o for o in options if o is not type(None)), tp)
+    if is_dataclass(tp):
+        return _build(tp, value, context)
+    if tp in (bool, str) and not isinstance(value, tp):
+        raise ConfigError(f"{context} must be a {tp.__name__}")
+    if tp is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{context} must be a whole number")
+    return tp(value)
+
+
+def _build(cls, value, context: str, given=None, **convert):
+    """Dataclass ``cls`` from a mapping keyed by its field names.
+
+    ``given`` holds fields the caller derives; they are not keys.  An
+    absent key takes the field default; a field without one is required
+    (the constructor's TypeError).  ``convert[name](value, context)``
+    replaces the annotation's coercion for that field.  Every failure is
+    a ConfigError.
+    """
+    given = given or {}
+    m = _expect_mapping(value, _fields(cls).keys() - set(given), context)
+    kwargs = dict(given)
+    for name, v in m.items():
+        with _invalid(f"{context}.{name}"):
+            kwargs[name] = _value(_fields(cls)[name], v, f"{context}.{name}", convert.get(name))
+    with _invalid(context):
+        return cls(**kwargs)
+
+
 def _complex(value, context: str) -> complex:
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    if isinstance(value, dict):
-        m = _expect_mapping(value, {"mag", "deg"}, context)
-        return Phasor.from_polar_deg(float(m.get("mag", 0.0)), float(m.get("deg", 0.0))).as_complex
+    with _invalid(context):
+        if isinstance(value, (list, tuple)) and len(value) == 2:
+            return complex(float(value[0]), float(value[1]))
+        if isinstance(value, dict):
+            m = _expect_mapping(value, {"mag", "deg"}, context)
+            return Phasor.from_polar_deg(float(m.get("mag", 0.0)),
+                                         float(m.get("deg", 0.0))).as_complex
     raise ConfigError(f"{context} must be [re, im] or {{mag, deg}}")
 
 
@@ -78,339 +150,171 @@ def _phasor(value, context: str) -> Phasor:
 
 # --- scenario block ----------------------------------------------------------
 
-_FAULT_KEYS = {"kind", "x", "r_f", "t_inception", "t_clear"}
+_EVENTS = {"shunt_switch": ShuntSwitch, "source_step": SourceStep, "load_scale": LoadScale}
 
 
-def _fault(block, context: str) -> FaultSpec:
-    m = _expect_mapping(block, _FAULT_KEYS, context)
-    try:
-        return FaultSpec(
-            kind=str(m["kind"]),
-            x=float(m["x"]),
-            r_f=float(m["r_f"]),
-            t_inception=float(m["t_inception"]),
-            t_clear=None if m.get("t_clear") is None else float(m["t_clear"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{context} is missing {exc}") from exc
-    except (ValueError, Exception) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid {context}: {exc}") from exc
+def _event(block, context: str):
+    etype = block.get("type") if isinstance(block, dict) else None
+    if not isinstance(etype, str) or etype not in _EVENTS:
+        raise ConfigError(f"{context} must be a mapping with type one of {', '.join(_EVENTS)}")
+    return _build(_EVENTS[etype], _split(block, "type")[1], context,
+                  z_shunt=lambda v, c: SequenceImpedance.symmetric(_complex(v, c)))
 
 
-def _event(block, index: int):
-    m = _expect_mapping(block, {"type", "t", "terminal", "factor", "z_shunt"},
-                        f"events[{index}]")
-    etype = m.get("type")
-    t = float(m.get("t", 0.0))
-    if etype == "shunt_switch":
-        return ShuntSwitch(t=t, terminal=int(m.get("terminal", 2)),
-                           z_shunt=SequenceImpedance.symmetric(
-                               _complex(m["z_shunt"], f"events[{index}].z_shunt")))
-    if etype == "source_step":
-        return SourceStep(t=t, terminal=int(m.get("terminal", 2)),
-                          factor=float(m.get("factor", 1.0)))
-    if etype == "load_scale":
-        return LoadScale(t=t, factor=float(m.get("factor", 1.0)))
-    raise ConfigError(f"events[{index}].type must be one of shunt_switch, source_step, load_scale")
+def _external_fault(block, context: str) -> ExternalFaultSpec:
+    """A flat mapping: the fault's keys plus the adjacent line's terminal."""
+    m = _expect_mapping(block, _fields(FaultSpec).keys() | {"terminal"}, context)
+    terminal, rest = _split(m, "terminal")
+    fault = _build(FaultSpec, rest, context)
+    return _build(ExternalFaultSpec, terminal, context, given={"fault": fault})
 
 
-_LINE_KEYS = {"z_se", "z_sh", "k0_series", "k0_shunt", "length_km"}
-_SOURCE_KEYS = {"emf", "z_th", "z_th_zero"}
-_SCENARIO_KEYS = {"duration_s", "sample_rate_hz", "system_freq_hz", "fault",
-                  "external_fault", "events", "line", "sources"}
-
-
-def _line(block) -> LineModel:
-    m = _expect_mapping(block, _LINE_KEYS, "line")
+def _line(block, context: str) -> LineModel:
+    m = _expect_mapping(block, {"z_se", "z_sh", "k0_series", "k0_shunt", "length_km"}, context)
     base = default_line()
-    z_se = _complex(m["z_se"], "line.z_se") if "z_se" in m else base.z_se.positive
-    z_sh = _complex(m["z_sh"], "line.z_sh") if "z_sh" in m else base.z_sh.positive
-    return LineModel(
-        z_se=SequenceImpedance.from_positive(z_se, k0=float(m.get("k0_series", 3.0))),
-        z_sh=SequenceImpedance.from_positive(z_sh, k0=float(m.get("k0_shunt", 1.6))),
-        length_km=float(m.get("length_km", base.length_km)),
-    )
+    z_se = _complex(m["z_se"], f"{context}.z_se") if "z_se" in m else base.z_se.positive
+    z_sh = _complex(m["z_sh"], f"{context}.z_sh") if "z_sh" in m else base.z_sh.positive
+    with _invalid(context):
+        return LineModel(
+            z_se=SequenceImpedance.from_positive(z_se, k0=float(m.get("k0_series", LINE_K0))),
+            z_sh=SequenceImpedance.from_positive(z_sh, k0=float(m.get("k0_shunt", SHUNT_K0))),
+            length_km=float(m.get("length_km", base.length_km)),
+        )
 
 
-def _source(block, index: int, fallback: SourceEquivalent) -> SourceEquivalent:
-    m = _expect_mapping(block, _SOURCE_KEYS, f"sources[{index}]")
-    emf = _phasor(m["emf"], f"sources[{index}].emf") if "emf" in m else fallback.emf
-    z_th = _complex(m["z_th"], f"sources[{index}].z_th") if "z_th" in m else fallback.z_th.positive
-    z_th0 = (_complex(m["z_th_zero"], f"sources[{index}].z_th_zero")
+def _source(block, context: str, fallback: SourceEquivalent) -> SourceEquivalent:
+    m = _expect_mapping(block, {"emf", "z_th", "z_th_zero"}, context)
+    emf = _phasor(m["emf"], f"{context}.emf") if "emf" in m else fallback.emf
+    z_th = _complex(m["z_th"], f"{context}.z_th") if "z_th" in m else fallback.z_th.positive
+    z_th0 = (_complex(m["z_th_zero"], f"{context}.z_th_zero")
              if "z_th_zero" in m else fallback.z_th.zero)
-    return SourceEquivalent(emf=emf, z_th=SequenceImpedance(z_th0, z_th, z_th))
+    with _invalid(context):
+        return SourceEquivalent(emf=emf, z_th=SequenceImpedance(z_th0, z_th, z_th))
 
 
 def parse_scenario(block) -> LineScenario:
-    m = _expect_mapping(block, _SCENARIO_KEYS, "scenario")
+    """``line`` and ``sources`` override the calibrated network piecewise."""
+    context = "config.scenario"
+    keys = _fields(LineScenario).keys() - {"source1", "source2"} | {"sources"}
+    m = _expect_mapping(block, keys, context)
+    overrides, rest = _split(m, "line", "sources")
+    overrides = {"line": {}, "sources": [{}, {}], **overrides}
     base = default_scenario()
-    line = _line(m["line"]) if "line" in m else base.line
-    s1, s2 = base.source1, base.source2
-    if "sources" in m:
-        if not isinstance(m["sources"], list) or len(m["sources"]) != 2:
-            raise ConfigError("sources must be a list of two mappings")
-        s1 = _source(m["sources"][0], 0, base.source1)
-        s2 = _source(m["sources"][1], 1, base.source2)
-    fault = _fault(m["fault"], "fault") if m.get("fault") else None
-    external = None
-    if m.get("external_fault"):
-        em = _expect_mapping(m["external_fault"], _FAULT_KEYS | {"terminal"}, "external_fault")
-        terminal = int(em.get("terminal", 2))
-        inner = {k: v for k, v in em.items() if k != "terminal"}
-        external = ExternalFaultSpec(terminal=terminal, fault=_fault(inner, "external_fault"))
-    events = tuple(_event(e, i) for i, e in enumerate(m.get("events") or []))
-    try:
-        return LineScenario(
-            line=line,
-            source1=s1,
-            source2=s2,
-            fault=fault,
-            external_fault=external,
-            events=events,
-            duration_s=float(m.get("duration_s", 0.45)),
-            sample_rate_hz=float(m.get("sample_rate_hz", 1000.0)),
-            system_freq_hz=float(m.get("system_freq_hz", 60.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid scenario: {exc}") from exc
+    sources = overrides["sources"]
+    if not isinstance(sources, list) or len(sources) != 2:
+        raise ConfigError(f"{context}.sources must be a list of two mappings")
+    given = {"line": _line(overrides["line"], f"{context}.line"),
+             "source1": _source(sources[0], f"{context}.sources[0]", base.source1),
+             "source2": _source(sources[1], f"{context}.sources[1]", base.source2)}
+    return _build(LineScenario, rest, context, given=given, external_fault=_external_fault,
+                  events=lambda v, c: tuple(_event(e, f"{c}[{i}]") for i, e in enumerate(v)))
 
 
 def parse_attack(block, scenario: LineScenario) -> AttackSpec | None:
-    m = _expect_mapping(block, {"mode", "c_a", "x", "r_f", "t_start"}, "attack")
+    """``c_a: eavesdropped`` (or omitted) replays the healthy differential."""
+    context = "config.attack"
+    m = _expect_mapping(block, {"mode", "c_a", "x", "r_f", "t_start"}, context)
     mode = m.get("mode", "none")
-    t_start = float(m.get("t_start", 0.0))
     if mode in (None, "none"):
         return None
     if mode == "basic":
         if "c_a" in m and m["c_a"] != "eavesdropped":
-            c_a = _phasor(m["c_a"], "attack.c_a")
+            c_a = _phasor(m["c_a"], f"{context}.c_a")
         else:
-            # the stealthier constant: the eavesdropped healthy differential
             c_a = healthy_reference(scenario).i_d
-        return AttackSpec(BasicFMA(c_a=c_a), t_start=t_start)
-    if mode == "stealthy":
-        try:
-            return AttackSpec(StealthyFMA(x=float(m["x"]), r_f=float(m["r_f"])),
-                              t_start=t_start)
-        except KeyError as exc:
-            raise ConfigError(f"stealthy attack requires {exc}") from exc
-    raise ConfigError("attack.mode must be one of none, basic, stealthy")
-
-
-def parse_distortion(block) -> DistortionSpec:
-    m = _expect_mapping(block, {"snr_db", "ct_saturation"}, "distortion")
-    ct = None
-    if m.get("ct_saturation"):
-        cm = _expect_mapping(m["ct_saturation"],
-                             {"mag_scale", "angle_advance_rad", "knee_ka"},
-                             "distortion.ct_saturation")
-        ct = CTSaturationSpec(
-            mag_scale=float(cm.get("mag_scale", 0.85)),
-            angle_advance_rad=float(cm.get("angle_advance_rad", 0.15)),
-            knee_ka=float(cm.get("knee_ka", 1.0)),
-        )
-    snr = m.get("snr_db")
-    try:
-        return DistortionSpec(snr_db=None if snr is None else float(snr), ct_saturation=ct)
-    except ValueError as exc:
-        raise ConfigError(f"invalid distortion: {exc}") from exc
-
-
-def parse_relay(block) -> RelaySettings:
-    m = _expect_mapping(block, {"i_d0", "i_b", "k1", "k2"}, "relay")
-    try:
-        return RelaySettings(
-            i_d0=float(m.get("i_d0", 0.05)),
-            i_b=float(m.get("i_b", 0.585)),
-            k1=float(m.get("k1", 0.2)),
-            k2=float(m.get("k2", 0.4)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid relay settings: {exc}") from exc
+        inner = BasicFMA(c_a=c_a)
+    elif mode == "stealthy":
+        inner = _build(StealthyFMA, _split(m, "x", "r_f")[0], context)
+    else:
+        raise ConfigError(f"{context}.mode must be one of none, basic, stealthy")
+    return _build(AttackSpec, _split(m, "t_start")[0], context, given={"mode": inner})
 
 
 def parse_mi(block, scenario: LineScenario) -> MIConfig:
-    m = _expect_mapping(block, {"f", "t1", "t2", "i_d_n"}, "mi")
-    i_d_n = (_phasor(m["i_d_n"], "mi.i_d_n") if "i_d_n" in m
+    """``i_d_n`` defaults to the healthy differential of ``scenario``."""
+    context = "config.mi"
+    m = _expect_mapping(block, _fields(MIConfig), context)
+    ref, rest = _split(m, "i_d_n")
+    i_d_n = (_phasor(ref["i_d_n"], f"{context}.i_d_n") if ref
              else healthy_reference(scenario).i_d)
-    try:
-        return MIConfig(
-            i_d_n=i_d_n,
-            f=float(m.get("f", 0.05)),
-            t1=int(m.get("t1", 9)),
-            t2=int(m.get("t2", 99)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid mi settings: {exc}") from exc
-
-
-def parse_sweep(block) -> SweepSpec:
-    m = _expect_mapping(block, {"kinds", "locations", "resistances", "snr_db",
-                                "positives", "negatives", "negative_external_fraction",
-                                "saturate_externals", "external_terminals",
-                                "both_directions"}, "sweep")
-    kwargs = {}
-    if "kinds" in m:
-        kwargs["kinds"] = tuple(str(k) for k in m["kinds"])
-    if "locations" in m:
-        kwargs["locations"] = tuple(float(v) for v in m["locations"])
-    if "resistances" in m:
-        kwargs["resistances"] = tuple(float(v) for v in m["resistances"])
-    if "snr_db" in m and m["snr_db"] is not None:
-        kwargs["snr_db"] = float(m["snr_db"])
-    if "positives" in m and m["positives"] is not None:
-        kwargs["positives"] = int(m["positives"])
-    if "negatives" in m:
-        kwargs["negatives"] = int(m["negatives"])
-    if "negative_external_fraction" in m:
-        kwargs["negative_external_fraction"] = float(m["negative_external_fraction"])
-    if "saturate_externals" in m:
-        kwargs["saturate_externals"] = bool(m["saturate_externals"])
-    if "external_terminals" in m:
-        kwargs["external_terminals"] = tuple(int(v) for v in m["external_terminals"])
-    if "both_directions" in m:
-        kwargs["both_directions"] = bool(m["both_directions"])
-    try:
-        return SweepSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid sweep: {exc}") from exc
-
-
-def parse_train(block) -> TrainConfig:
-    m = _expect_mapping(block, {"learning_rate", "epochs", "batch_size", "seed",
-                                "fp_cost", "fn_cost", "l2_lambda", "hidden",
-                                "val_fraction", "k_folds"}, "train")
-    try:
-        return TrainConfig(
-            learning_rate=float(m.get("learning_rate", 1e-3)),
-            epochs=int(m.get("epochs", 150)),
-            batch_size=int(m.get("batch_size", 64)),
-            seed=int(m.get("seed", 0)),
-            fp_cost=float(m.get("fp_cost", 10.0)),
-            fn_cost=float(m.get("fn_cost", 1.0)),
-            l2_lambda=float(m.get("l2_lambda", DEFAULT_L2)),
-            hidden=tuple(int(h) for h in m.get("hidden", DEFAULT_HIDDEN)),
-            val_fraction=float(m.get("val_fraction", 0.15)),
-            k_folds=int(m.get("k_folds", 10)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid train settings: {exc}") from exc
+    return _build(MIConfig, rest, context, given={"i_d_n": i_d_n})
 
 
 # --- per-command configs -------------------------------------------------------
 
 @dataclass(frozen=True)
+class ZccSettings:
+    """Trained classifier (None: stage 1 only) and its decision threshold."""
+
+    model: str | None = None
+    threshold: float = PipelineConfig.zcc_threshold
+
+
+@dataclass(frozen=True)
 class SimulateConfig:
     scenario: LineScenario
     attack: AttackSpec | None
-    distortion: DistortionSpec
-    relay: RelaySettings
     mi: MIConfig
-    model_path: str | None
-    zcc_threshold: float
-    seed: int
+    distortion: DistortionSpec = DistortionSpec()
+    relay: RelaySettings = RelaySettings()
+    zcc: ZccSettings = ZccSettings()
+    seed: int = 0
 
 
 def parse_simulate_config(data: dict) -> SimulateConfig:
-    m = _expect_mapping(data, {"scenario", "attack", "distortion", "relay", "mi",
-                               "zcc", "seed"}, "config")
-    scenario = parse_scenario(m.get("scenario"))
-    zm = _expect_mapping(m.get("zcc"), {"model", "threshold"}, "zcc")
-    return SimulateConfig(
-        scenario=scenario,
-        attack=parse_attack(m.get("attack"), scenario),
-        distortion=parse_distortion(m.get("distortion")),
-        relay=parse_relay(m.get("relay")),
-        mi=parse_mi(m.get("mi"), scenario),
-        model_path=zm.get("model"),
-        zcc_threshold=float(zm.get("threshold", 0.5)),
-        seed=int(m.get("seed", 0)),
-    )
+    """``attack`` and ``mi`` read the parsed scenario; an omitted block is empty."""
+    m = _expect_mapping(data, _fields(SimulateConfig), "config")
+    derived, rest = _split(m, "scenario", "attack", "mi")
+    derived = {"scenario": {}, "attack": {}, "mi": {}, **derived}
+    scenario = parse_scenario(derived["scenario"])
+    given = {"scenario": scenario, "attack": parse_attack(derived["attack"], scenario),
+             "mi": parse_mi(derived["mi"], scenario)}
+    return _build(SimulateConfig, rest, "config", given=given)
 
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    sweep: SweepSpec
-    f: float
-    seed: int
-
-
-def parse_dataset_config(data: dict) -> DatasetConfig:
-    m = _expect_mapping(data, {"sweep", "f", "seed"}, "config")
-    return DatasetConfig(
-        sweep=parse_sweep(m.get("sweep")),
-        f=float(m.get("f", 0.05)),
-        seed=int(m.get("seed", 0)),
-    )
+    sweep: SweepSpec = SweepSpec()
+    f: float = MIConfig.f
+    seed: int = 0
 
 
 @dataclass(frozen=True)
 class TrainRunConfig:
-    dataset_path: str
-    train: TrainConfig
-    run_kfold: bool
-
-
-def parse_train_config(data: dict) -> TrainRunConfig:
-    m = _expect_mapping(data, {"dataset", "train", "kfold"}, "config")
-    if "dataset" not in m:
-        raise ConfigError("train config requires a dataset path")
-    return TrainRunConfig(
-        dataset_path=str(m["dataset"]),
-        train=parse_train(m.get("train")),
-        run_kfold=bool(m.get("kfold", False)),
-    )
+    dataset: str
+    train: TrainConfig = TrainConfig()
+    kfold: bool = False
 
 
 @dataclass(frozen=True)
 class EvalConfig:
-    model_path: str
-    sweep: SweepSpec
-    f: float
-    threshold: float
-    seed: int
-
-
-def parse_eval_config(data: dict) -> EvalConfig:
-    m = _expect_mapping(data, {"model", "sweep", "f", "threshold", "seed"}, "config")
-    if "model" not in m:
-        raise ConfigError("eval config requires a model path")
-    return EvalConfig(
-        model_path=str(m["model"]),
-        sweep=parse_sweep(m.get("sweep")),
-        f=float(m.get("f", 0.05)),
-        threshold=float(m.get("threshold", 0.5)),
-        seed=int(m.get("seed", 0)),
-    )
+    model: str
+    sweep: SweepSpec = SweepSpec()
+    f: float = MIConfig.f
+    threshold: float = PipelineConfig.zcc_threshold
+    seed: int = 0
 
 
 @dataclass(frozen=True)
 class RocConfig:
-    sweep: SweepSpec
-    f_list: tuple
-    thresholds: tuple
-    model_path: str | None
-    seed: int
+    sweep: SweepSpec = SweepSpec()
+    f_list: tuple[float, ...] = (0.001, 0.002, 0.005, 0.01, 0.02, 0.03, 0.05, 0.07, 0.10)
+    thresholds: tuple[float, ...] = (PipelineConfig.zcc_threshold,)
+    model: str | None = None
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not self.f_list or not self.thresholds:
+            raise ValueError("f_list and thresholds must be non-empty")
 
 
-def parse_roc_config(data: dict) -> RocConfig:
-    m = _expect_mapping(data, {"sweep", "f_list", "thresholds", "model", "seed"}, "config")
-    f_list = tuple(float(v) for v in m.get("f_list") or
-                   (0.001, 0.002, 0.005, 0.01, 0.02, 0.03, 0.05, 0.07, 0.10))
-    thresholds = tuple(float(v) for v in m.get("thresholds") or (0.5,))
-    return RocConfig(
-        sweep=parse_sweep(m.get("sweep")),
-        f_list=f_list,
-        thresholds=thresholds,
-        model_path=m.get("model"),
-        seed=int(m.get("seed", 0)),
-    )
+# Flat per-command configs: every key is a field of the config class.
+def parse_dataset_config(data) -> DatasetConfig: return _build(DatasetConfig, data, "config")
+def parse_train_config(data) -> TrainRunConfig: return _build(TrainRunConfig, data, "config")
+def parse_eval_config(data) -> EvalConfig: return _build(EvalConfig, data, "config")
+def parse_roc_config(data) -> RocConfig: return _build(RocConfig, data, "config")
 
 
 def with_seed(cfg, seed: int | None):
     """Root-seed override from the command line."""
-    if seed is None:
-        return cfg
-    return replace(cfg, seed=seed)
+    return cfg if seed is None else replace(cfg, seed=seed)

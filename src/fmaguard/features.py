@@ -65,10 +65,6 @@ SNAPSHOT_NAMES = ("pre", "post")
 FEATURE_DIM = len(SNAPSHOT_NAMES) * len(GROUP_NAMES) * len(CHANNEL_NAMES)
 
 
-class DegenerateCurrent(Exception):
-    """Raised only by strict callers; extraction substitutes sentinels."""
-
-
 def feature_names() -> list:
     """Column names in extraction order."""
     names = []

@@ -31,7 +31,7 @@ from .attack import (
 )
 from .classifier import InsufficientData
 from .features import FEATURE_DIM, extract_features, feature_names, pre_trigger_offset
-from .mismatch import MIConfig, compute_p_stream, mi_trace
+from .mismatch import MIConfig, compute_p_stream, mi_config_for, mi_trace
 from .pipeline import BatchCase, PipelineConfig, batch_run, holdoff_samples, scan_mi
 from .relay import RelaySettings
 from .scenario import (
@@ -92,16 +92,15 @@ class SweepSpec:
     the terminal-1 relay is evaluated.
     """
 
-    kinds: tuple = ALL_KINDS
-    locations: tuple = DEFAULT_LOCATIONS
-    resistances: tuple = DEFAULT_RESISTANCES
-    attack_modes: tuple = ("basic",)
+    kinds: tuple[str, ...] = ALL_KINDS
+    locations: tuple[float, ...] = DEFAULT_LOCATIONS
+    resistances: tuple[float, ...] = DEFAULT_RESISTANCES
     snr_db: float | None = None
     saturate_externals: bool = True
     positives: int | None = None  # None = the full grid
     negatives: int = 0
     negative_external_fraction: float = 0.8
-    external_terminals: tuple = (1, 2)
+    external_terminals: tuple[int, ...] = (1, 2)
     both_directions: bool = False
 
     def __post_init__(self) -> None:
@@ -111,7 +110,7 @@ class SweepSpec:
             raise ValueError("negative_external_fraction must lie in [0, 1]")
 
     def grid_size(self) -> int:
-        base = len(self.kinds) * len(self.locations) * len(self.resistances) * len(self.attack_modes)
+        base = len(self.kinds) * len(self.locations) * len(self.resistances)
         return base * (2 if self.both_directions else 1)
 
 
@@ -344,12 +343,6 @@ def split_indices(labels, ratio: float = 0.7, seed: int = 0) -> tuple:
     return np.array(sorted(train_idx), dtype=int), np.array(sorted(test_idx), dtype=int)
 
 
-def split(x: np.ndarray, y: np.ndarray, ratio: float = 0.7, seed: int = 0) -> tuple:
-    """Stratified dataset split into ((x_train, y_train), (x_test, y_test))."""
-    train_idx, test_idx = split_indices(y, ratio=ratio, seed=seed)
-    return (x[train_idx], y[train_idx]), (x[test_idx], y[test_idx])
-
-
 # --- metrics -----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -426,12 +419,12 @@ def budget_samples(stream_or_scenario) -> int:
     return int(math.floor(BUDGET_CYCLES * fs / f0))
 
 
-def default_mi_config(f: float = 0.05) -> MIConfig:
-    return MIConfig(i_d_n=healthy_reference(default_scenario()).i_d, f=f)
+def default_mi_config(f: float = MIConfig.f) -> MIConfig:
+    return mi_config_for(default_scenario(), f=f)
 
 
-def default_pipeline_config(model=None, f: float = 0.05,
-                            zcc_threshold: float = 0.5) -> PipelineConfig:
+def default_pipeline_config(model=None, f: float = MIConfig.f,
+                            zcc_threshold: float = PipelineConfig.zcc_threshold) -> PipelineConfig:
     scenario = default_scenario()
     return PipelineConfig(
         line=scenario.line,

@@ -125,9 +125,6 @@ class Phasor:
     def __abs__(self) -> float:
         return self.magnitude
 
-    def rotated(self, angle: float) -> "Phasor":
-        return self * cmath.exp(1j * angle)
-
     def __str__(self) -> str:
         return f"{self.magnitude:.6g}∠{math.degrees(self.angle):.4g}°"
 

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .phasors import Phasor, ThreePhaseSet, positive_sequence
+from .phasors import Phasor, ThreePhaseSet
 from .sequence_network import (
     FAULT_KINDS,
     FaultSolution,
@@ -138,8 +138,8 @@ class ExternalFaultSpec:
     point of the protected line is then unchanged).
     """
 
-    terminal: int
     fault: FaultSpec
+    terminal: int = 2
     line: LineModel | None = None
     z_grid: SequenceImpedance | None = None
 
@@ -152,26 +152,26 @@ class ExternalFaultSpec:
 class ShuntSwitch:
     """Connect a shunt impedance (e.g. a capacitor bank) at a terminal bus."""
 
-    t: float
-    terminal: int
     z_shunt: SequenceImpedance
+    t: float = 0.0
+    terminal: int = 2
 
 
 @dataclass(frozen=True)
 class SourceStep:
     """Scale one terminal EMF, emulating generation loss or connection."""
 
-    t: float
-    terminal: int
-    factor: float
+    t: float = 0.0
+    terminal: int = 2
+    factor: float = 1.0
 
 
 @dataclass(frozen=True)
 class LoadScale:
     """Scale both EMF magnitudes by a common load factor."""
 
-    t: float
-    factor: float
+    t: float = 0.0
+    factor: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -615,8 +615,8 @@ class OperatingPoint:
         return self.i1 + self.i2
 
 
-@lru_cache(maxsize=STEADY_STATE_CACHE_SIZE)
-def calibrated_operating_point(load_angle_shift_deg: float = LOAD_ANGLE_SHIFT_DEG) -> OperatingPoint:
+@lru_cache(maxsize=None)
+def calibrated_operating_point() -> OperatingPoint:
     """Operating point fitted to the reference flows.
 
     The half series impedance comes straight from the reference phasors
@@ -632,7 +632,7 @@ def calibrated_operating_point(load_angle_shift_deg: float = LOAD_ANGLE_SHIFT_DE
     z_se = (v1 - REF_V2.as_complex) / (i1_ref - i2_ref)
     i_d = i1_ref + i2_ref
     i_load = i1_ref - 0.5 * i_d
-    i_load *= np.exp(1j * np.radians(load_angle_shift_deg))
+    i_load *= np.exp(1j * np.radians(LOAD_ANGLE_SHIFT_DEG))
     i1 = i_load + 0.5 * i_d
     i2 = -i_load + 0.5 * i_d
     v_mid = v1 - i1 * z_se
@@ -657,14 +657,12 @@ def default_line(op: OperatingPoint | None = None) -> LineModel:
     )
 
 
-def default_sources(z_th: complex = DEFAULT_Z_TH,
-                    z_th_zero: complex = DEFAULT_Z_TH_ZERO,
-                    op: OperatingPoint | None = None) -> tuple:
+def default_sources(op: OperatingPoint | None = None) -> tuple:
     """Thevenin equivalents that reproduce the calibrated flows exactly."""
     op = op if op is not None else calibrated_operating_point()
-    z = SequenceImpedance(z_th_zero, z_th, z_th)
-    e1 = op.v1 + op.i1 * z_th
-    e2 = op.v2 + op.i2 * z_th
+    z = SequenceImpedance(DEFAULT_Z_TH_ZERO, DEFAULT_Z_TH, DEFAULT_Z_TH)
+    e1 = op.v1 + op.i1 * DEFAULT_Z_TH
+    e2 = op.v2 + op.i2 * DEFAULT_Z_TH
     return SourceEquivalent(emf=e1, z_th=z), SourceEquivalent(emf=e2, z_th=z)
 
 
@@ -727,12 +725,3 @@ def write_stream_csv(stream: Stream, path) -> None:
                 int(stream.attack_active[k]),
             ]
             writer.writerow(row)
-
-
-def positive_sequence_quantities(stream: Stream):
-    """Positive-sequence (N,) arrays of v1, i1 and delivered i2."""
-    return (
-        positive_sequence(stream.v1),
-        positive_sequence(stream.i1),
-        positive_sequence(stream.i2),
-    )

@@ -372,8 +372,10 @@ def _topologies(kind, x, r_f):
     base = default_scenario(duration_s=0.3)
     return {
         "internal": default_scenario(duration_s=0.3, fault=fault),
-        "external-t1": default_scenario(duration_s=0.3, external_fault=ExternalFaultSpec(1, fault)),
-        "external-t2": default_scenario(duration_s=0.3, external_fault=ExternalFaultSpec(2, fault)),
+        "external-t1": default_scenario(duration_s=0.3,
+                                        external_fault=ExternalFaultSpec(terminal=1, fault=fault)),
+        "external-t2": default_scenario(duration_s=0.3,
+                                        external_fault=ExternalFaultSpec(terminal=2, fault=fault)),
         "mirrored": LineScenario(line=base.line, source1=base.source2, source2=base.source1,
                                  fault=FaultSpec(kind, 1.0 - x, r_f, 0.1), duration_s=0.3),
     }

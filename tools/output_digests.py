@@ -17,7 +17,13 @@ It prints one digest per artifact:
   (hidden layers 310 and 90, batch 96, seed 77);
 * ``pipeline``: ``pipeline.run`` events and ``norms``/``m``/``l_u``/``o``
   traces over the 1000-case 35 dB evaluation mix at seed 2024 with that
-  model.
+  model;
+* ``cli``: every artifact of ``fmaguard`` run on the six bundled
+  ``simulate`` configs and on the ``dataset -> train -> eval -> roc``
+  demo chain, each into ``out/<config name>`` under a temporary working
+  directory (the chain's configs name their inputs by those relative
+  paths); the ``output_dir`` and ``config_path`` fields of each
+  ``manifest.json`` are left out, as they name the run's directories.
 
 Uses only the standard library, numpy and fmaguard.
 """
@@ -27,10 +33,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 import fmaguard.classifier as zcc
+import fmaguard.cli as cli
 import fmaguard.harness as hn
 import fmaguard.mismatch as mismatch
 import fmaguard.pipeline as pipeline
@@ -44,6 +53,11 @@ TRAIN_SEED = 77
 TRAIN = zcc.TrainConfig(epochs=20, seed=TRAIN_SEED, hidden=(310, 90), batch_size=96)
 EVAL_MIX = hn.SweepSpec(positives=500, negatives=500, snr_db=35.0)
 EVAL_SEED = 2024
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SIMULATE_CONFIGS = ("disturbance_capacitor", "external_fault_cleared", "fma_ag_mid_150ohm",
+                    "fma_ag_x10_bolted", "fma_stealthy_midline", "healthy")
+DEMO_CHAIN = (("dataset", "dataset_demo"), ("train", "train_demo"),
+              ("eval", "eval_demo"), ("roc", "roc_demo"))
 
 
 def _update(digest, *arrays) -> None:
@@ -105,6 +119,36 @@ def pipeline_digest(model: zcc.MLPModel, spec: hn.SweepSpec = EVAL_MIX,
     return digest.hexdigest()
 
 
+def cli_digest(configs: Path = CONFIGS, simulate=SIMULATE_CONFIGS,
+               chain=DEMO_CHAIN) -> str:
+    """Every artifact of the CLI runs, in run order, with the manifests'
+    directory fields left out."""
+    digest = hashlib.sha256()
+    configs = Path(configs).resolve()
+    runs = [("simulate", name) for name in simulate] + list(chain)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for sub, name in runs:
+                out = Path("out") / name
+                code = cli.main([sub, "--config", str(configs / f"{name}.yaml"),
+                                 "--out", str(out)])
+                if code != 0:
+                    raise RuntimeError(f"{sub} {name} exited {code}")
+                for path in sorted(out.iterdir()):
+                    data = path.read_bytes()
+                    if path.name == "manifest.json":
+                        manifest = json.loads(data)
+                        del manifest["output_dir"], manifest["config_path"]
+                        data = json.dumps(manifest, sort_keys=True).encode()
+                    digest.update(f"{name}/{path.name}:{len(data)}\n".encode())
+                    digest.update(data)
+        finally:
+            os.chdir(cwd)
+    return digest.hexdigest()
+
+
 def main() -> None:
     print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
     print(f"sweep     {sweep_digest()}")
@@ -113,6 +157,7 @@ def main() -> None:
     model = zcc.train(x, y, TRAIN).model
     print(f"model     {model_digest(model)}")
     print(f"pipeline  {pipeline_digest(model)}")
+    print(f"cli       {cli_digest()}")
 
 
 if __name__ == "__main__":
